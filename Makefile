@@ -5,7 +5,7 @@ GO ?= go
 STRESS_COUNT ?= 3
 STRESS_TIMEOUT ?= 10m
 
-.PHONY: build vet test race stress chaos chaos-repl lint docs differential check bench
+.PHONY: build vet test race stress chaos chaos-repl lint docs differential perfbench check bench
 
 build:
 	$(GO) build ./...
@@ -76,23 +76,35 @@ docs:
 	$(GO) run ./cmd/domdlint -analyzers docstring,metriccatalog ./...
 	sh scripts/check_docs.sh
 
-# differential re-runs the incremental-maintenance equivalence suite
-# under the race detector: random RCC streams applied via the O(delta)
-# path must stay bitwise-identical (math.Float64bits) to engines rebuilt
-# from scratch, at the engine, catalog+WAL-replay, sweep, and
-# stat-structure layers — including the 4-shard router
+# differential re-runs the bitwise (math.Float64bits) equivalence suites
+# under the race detector. The incremental-maintenance suite: random RCC
+# streams applied via the O(delta) path must stay bitwise-identical to
+# engines rebuilt from scratch, at the engine, catalog+WAL-replay, sweep,
+# and stat-structure layers — including the 4-shard router
 # (TestDeltaShardedEquivalence), whose answers must match a single
-# catalog fed the same stream.
+# catalog fed the same stream. The one-model-path suite: /query,
+# /query/batch, /fleet and /predict serve the same delay on a single and
+# a 4-shard catalog (TestOnePathDifferential), and Registry.Predict
+# matches the reference prediction loop (TestPredictMatchesReferenceLoop).
 differential:
 	$(GO) test -race -count 1 -run 'TestDelta' ./internal/statusq/
+	$(GO) test -race -count 1 -run 'TestOnePathDifferential' ./internal/server/
+	$(GO) test -race -count 1 -run 'TestPredictMatchesReferenceLoop' ./internal/modelserve/
+
+# perfbench vets and short-tests the benchmark module, a nested Go module
+# (perfbench/go.mod) that `go build ./...` at the root skips but that
+# imports the serving packages (core, modelserve, statusq, server).
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
 
 # check is the CI gate: compile, vet, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, then enforce the lint
-# invariants (domdlint must exit 0 on the tree) and the docs
-# cross-checks.
+# the differential suites, then enforce the lint invariants (domdlint
+# must exit 0 on the tree) and the docs cross-checks, and vet and
+# short-test the benchmark module.
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs
+	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && $(MAKE) perfbench
 
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then the loadgen

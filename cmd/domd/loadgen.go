@@ -224,37 +224,12 @@ func loadgen(cfg loadgenConfig) (*loadgenReport, error) {
 		return report, nil
 	}
 
-	pipe, ext, err := fastPipeline(cfg.seed)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: train pipeline: %w", err)
-	}
-	serve, err := navsim.Generate(navsim.Config{
-		NumClosed: 4, NumOngoing: 3, MeanRCCsPerAvail: float64(cfg.serveRCCs), Seed: cfg.seed + 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: serving fleet: %w", err)
-	}
-	catalog, err := statusq.NewCatalog(serve.Avails, serve.RCCs, index.KindAVL)
+	ss, err := selfServe(cfg)
 	if err != nil {
 		return nil, err
 	}
-	handler := server.New(pipe, ext, catalog, server.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: handler}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-	defer func() {
-		if err := srv.Close(); err != nil {
-			log.Printf("loadgen server close: %v", err)
-		}
-		if err := <-srvErr; err != nil && err != http.ErrServerClosed {
-			log.Printf("loadgen server: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
+	defer ss.close()
+	serve, catalog, base := ss.fleet, ss.catalog, ss.base
 
 	// The rebuild storm first (delta path off), then the delta path, with
 	// a warm-up between so each scenario starts from built engines.
@@ -283,36 +258,91 @@ func loadgen(cfg loadgenConfig) (*loadgenReport, error) {
 	return report, nil
 }
 
-// fastPipeline trains the same small training configuration the serving
-// test suite uses: a baseline GBT with few rounds over a compact closed
-// fleet — quick to train, fully exercises the query path.
-func fastPipeline(seed int64) (*core.Pipeline, *features.Extractor, error) {
-	pipe, ext, _, _, err := fastStack(seed)
-	return pipe, ext, err
+// selfServed is an in-process `domd serve -model-dir`: the real
+// server.New handler on a loopback listener, over a fast model registry
+// and a synthetic serving fleet.
+type selfServed struct {
+	base     string
+	modelDir string
+	fleet    *navsim.Dataset
+	catalog  *statusq.Catalog
+	srv      *http.Server
+	srvErr   chan error
 }
 
-// fastStack is fastPipeline plus the tensor and splits it trained from,
-// for scenarios that also need to publish model artifacts.
-func fastStack(seed int64) (*core.Pipeline, *features.Extractor, *features.Tensor, split.Splits, error) {
-	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: seed})
+// selfServe trains the same small two-window model version the serving
+// test suite uses — a baseline GBT with few rounds over a compact closed
+// fleet, quick to train and fully exercising the serving path — publishes
+// it as v001 into a temp registry, and serves a fleet of -serve-rccs RCCs
+// per avail from it. close stops the server and removes the registry.
+func selfServe(cfg loadgenConfig) (*selfServed, error) {
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: cfg.seed})
 	if err != nil {
-		return nil, nil, nil, split.Splits{}, err
+		return nil, err
 	}
-	ext := features.NewExtractor()
-	tensor, err := features.BuildTensor(ext, ds.Avails, ds.RCCsByAvail(), 25, index.KindAVL)
+	tensor, err := features.BuildTensor(features.NewExtractor(), ds.Avails, ds.RCCsByAvail(), 25, index.KindAVL)
 	if err != nil {
-		return nil, nil, nil, split.Splits{}, err
+		return nil, err
 	}
 	sp, err := split.Make(split.DefaultConfig(), tensor.Avails)
 	if err != nil {
-		return nil, nil, nil, split.Splits{}, err
+		return nil, err
 	}
-	cfg := fastTrainConfig()
-	pipe, err := core.Train(cfg, tensor, sp.Train, sp.Val)
+	tv, err := modelserve.TrainVersion(tensor, sp.Train, sp.Val, modelserve.TrainOptions{
+		Windows: []modelserve.Window{{Lo: 0, Hi: 50}, {Lo: 50, Hi: 100}},
+		Alpha:   modelserve.DefaultAlpha,
+		Version: "v001",
+		Config:  fastTrainConfig(),
+	})
 	if err != nil {
-		return nil, nil, nil, split.Splits{}, err
+		return nil, fmt.Errorf("loadgen: train model version: %w", err)
 	}
-	return pipe, ext, tensor, sp, nil
+	fleet, err := navsim.Generate(navsim.Config{
+		NumClosed: 4, NumOngoing: 3, MeanRCCsPerAvail: float64(cfg.serveRCCs), Seed: cfg.seed + 1,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: serving fleet: %w", err)
+	}
+	catalog, err := statusq.NewCatalog(fleet.Avails, fleet.RCCs, index.KindAVL)
+	if err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "domd-loadgen-models-")
+	if err != nil {
+		return nil, err
+	}
+	fail := func(err error) (*selfServed, error) {
+		os.RemoveAll(dir) //lint:ignore droppederr best-effort cleanup of a throwaway temp root
+		return nil, err
+	}
+	if _, err := tv.WriteTo(dir, true); err != nil {
+		return fail(err)
+	}
+	reg, err := modelserve.Open(dir)
+	if err != nil {
+		return fail(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fail(err)
+	}
+	ss := &selfServed{
+		base: "http://" + ln.Addr().String(), modelDir: dir, fleet: fleet, catalog: catalog,
+		srv: &http.Server{Handler: server.New(reg, catalog, server.Options{})}, srvErr: make(chan error, 1),
+	}
+	go func() { ss.srvErr <- ss.srv.Serve(ln) }()
+	return ss, nil
+}
+
+// close stops the server and removes the temp registry.
+func (ss *selfServed) close() {
+	if err := ss.srv.Close(); err != nil {
+		log.Printf("loadgen server close: %v", err)
+	}
+	if err := <-ss.srvErr; err != nil && err != http.ErrServerClosed {
+		log.Printf("loadgen server: %v", err)
+	}
+	os.RemoveAll(ss.modelDir) //lint:ignore droppederr best-effort cleanup of a throwaway temp root
 }
 
 // fastTrainConfig is the compact GBT configuration every loadgen
@@ -878,59 +908,12 @@ func predictLoadgen(cfg loadgenConfig) (*loadgenReport, error) {
 	if cfg.addr != "" {
 		return nil, fmt.Errorf("loadgen: -scenario predict is self-serve only (it must publish versions into the registry directory)")
 	}
-	pipe, ext, tensor, sp, err := fastStack(cfg.seed)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: train pipeline: %w", err)
-	}
-	tv, err := modelserve.TrainVersion(tensor, sp.Train, sp.Val, modelserve.TrainOptions{
-		Windows: []modelserve.Window{{Lo: 0, Hi: 50}, {Lo: 50, Hi: 100}},
-		Alpha:   modelserve.DefaultAlpha,
-		Version: "v001",
-		Config:  fastTrainConfig(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: train model version: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "domd-loadgen-models-")
+	ss, err := selfServe(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir) //lint:ignore droppederr best-effort cleanup of a throwaway temp root
-	if _, err := tv.WriteTo(dir, true); err != nil {
-		return nil, err
-	}
-	reg, err := modelserve.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	serve, err := navsim.Generate(navsim.Config{
-		NumClosed: 4, NumOngoing: 3, MeanRCCsPerAvail: float64(cfg.serveRCCs), Seed: cfg.seed + 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: serving fleet: %w", err)
-	}
-	catalog, err := statusq.NewCatalog(serve.Avails, serve.RCCs, index.KindAVL)
-	if err != nil {
-		return nil, err
-	}
-	handler := server.New(pipe, ext, catalog, server.Options{Models: reg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: handler}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-	defer func() {
-		if err := srv.Close(); err != nil {
-			log.Printf("loadgen server close: %v", err)
-		}
-		if err := <-srvErr; err != nil && err != http.ErrServerClosed {
-			log.Printf("loadgen server: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
+	defer ss.close()
+	dir, base := ss.modelDir, ss.base
 
 	ongoing, err := fetchOngoing(base)
 	if err != nil {

@@ -56,7 +56,7 @@ var subcommands = []struct {
 	{"evaluate", "train on the historical split and print test-set quality", runEvaluate},
 	{"design", "run the greedy pipeline design (Problem 2)", runDesign},
 	{"train", "train one model per logical-time window and publish a version into the model registry", runTrain},
-	{"serve", "train (or -load) a pipeline and serve the SMDII JSON API", runServe},
+	{"serve", "serve the SMDII JSON API from a model registry (-model-dir; without it, train one into a temp registry)", runServe},
 	{"backtest", "walk-forward (rolling-origin) evaluation across history", runBacktest},
 	{"importances", "train (or -load) a pipeline and print the global delay drivers", runImportances},
 	{"drift", "compare live feature distributions against a reference fleet", runDrift},
@@ -91,7 +91,9 @@ func usage() {
 	os.Exit(2)
 }
 
-// commonFlags holds the flags every subcommand shares.
+// commonFlags holds the flags subcommands share. Each subcommand
+// registers -avails/-rccs plus only the groups it reads, so a flag it
+// would ignore is rejected instead.
 type commonFlags struct {
 	availsPath, rccsPath string
 	gap                  float64
@@ -103,17 +105,39 @@ type commonFlags struct {
 	loadPath, savePath string
 }
 
-func addCommon(fs *flag.FlagSet) *commonFlags {
-	c := &commonFlags{}
+// Shared flag groups, combined into addCommon's groups argument.
+const (
+	gridFlags = 1 << iota // -gap, -seed: the tensor grid and seeds
+	tuneFlags             // -trials, -workers: core.Train
+	fileFlags             // -load, -save: one pipeline file
+)
+
+func addCommon(fs *flag.FlagSet, groups int) *commonFlags {
+	c := &commonFlags{gap: 10, trials: 30, seed: 1, workers: 1}
 	fs.StringVar(&c.availsPath, "avails", "data/avails.csv", "avail table CSV")
 	fs.StringVar(&c.rccsPath, "rccs", "data/rccs.csv", "RCC table CSV")
-	fs.Float64Var(&c.gap, "gap", 10, "model gap interval x (percent of planned duration)")
-	fs.IntVar(&c.trials, "trials", 30, "AutoHPT trials per timeline model (0 disables tuning)")
-	fs.Int64Var(&c.seed, "seed", 1, "random seed")
-	fs.IntVar(&c.workers, "workers", 1, "concurrent per-timestamp model training")
-	fs.StringVar(&c.loadPath, "load", "", "load a previously saved pipeline (skips training)")
-	fs.StringVar(&c.savePath, "save", "", "save the trained pipeline to this path")
+	if groups&gridFlags != 0 {
+		fs.Float64Var(&c.gap, "gap", c.gap, "model gap interval x (percent of planned duration)")
+		fs.Int64Var(&c.seed, "seed", c.seed, "random seed")
+	}
+	if groups&tuneFlags != 0 {
+		fs.IntVar(&c.trials, "trials", c.trials, "AutoHPT trials per timeline model (0 disables tuning)")
+		fs.IntVar(&c.workers, "workers", c.workers, "concurrent per-timestamp model training")
+	}
+	if groups&fileFlags != 0 {
+		fs.StringVar(&c.loadPath, "load", "", "load a previously saved pipeline (skips training)")
+		fs.StringVar(&c.savePath, "save", "", "save the trained pipeline to this path")
+	}
 	return c
+}
+
+// trainConfig is the pipeline training configuration the flags select.
+func (c *commonFlags) trainConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.HPTTrials = c.trials
+	cfg.Seed = c.seed
+	cfg.Workers = c.workers
+	return cfg
 }
 
 // parseFlags parses one sub-command's flags. The flag sets use
@@ -178,11 +202,7 @@ func trainPipeline(c *commonFlags, tensor *features.Tensor, sp split.Splits) *co
 		}
 		return p
 	}
-	cfg := core.DefaultConfig()
-	cfg.HPTTrials = c.trials
-	cfg.Seed = c.seed
-	cfg.Workers = c.workers
-	p, err := core.Train(cfg, tensor, sp.Train, sp.Val)
+	p, err := core.Train(c.trainConfig(), tensor, sp.Train, sp.Val)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -205,7 +225,7 @@ func trainPipeline(c *commonFlags, tensor *features.Tensor, sp split.Splits) *co
 
 func runQuery(args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags|fileFlags)
 	availID := fs.Int("avail", 0, "avail id to query")
 	date := fs.String("date", "", "physical query date (YYYY-MM-DD)")
 	parseFlags(fs, args)
@@ -259,7 +279,7 @@ func runQuery(args []string) {
 
 func runEvaluate(args []string) {
 	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags|fileFlags)
 	parseFlags(fs, args)
 	avails, rccs := load(c)
 	_, tensor, sp := buildTensor(c, avails, rccs)
@@ -278,7 +298,7 @@ func runEvaluate(args []string) {
 
 func runDesign(args []string) {
 	fs := flag.NewFlagSet("design", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags)
 	quick := fs.Bool("quick", false, "use reduced grids for a fast design pass")
 	parseFlags(fs, args)
 	avails, rccs := load(c)
@@ -318,15 +338,19 @@ func runDesign(args []string) {
 		rep.Final.Loss, rep.Final.HPTTrials, rep.Final.Fusion)
 }
 
+// defaultWindows is the logical-time window split `domd train` fits one
+// model per unless -windows says otherwise; serve's temp registry uses it.
+const defaultWindows = "0-50,50-100"
+
 // runTrain is the training half of the model-serving lifecycle: fit one
 // pipeline + conformal calibration per logical-time window, stamp the
 // artifacts with content digests, and publish them as a version into the
 // model registry directory that `domd serve -model-dir` serves from.
 func runTrain(args []string) {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags)
 	modelDir := fs.String("model-dir", "models", "model registry directory to publish the version into")
-	windows := fs.String("windows", "0-50,50-100", "comma-separated logical-time windows lo-hi (percent of planned duration); one model is trained and conformal-calibrated per window")
+	windows := fs.String("windows", defaultWindows, "comma-separated logical-time windows lo-hi (percent of planned duration); one model is trained and conformal-calibrated per window")
 	version := fs.String("version", "", "version name for the published artifacts (default: content-derived v<hash12>)")
 	alpha := fs.Float64("alpha", modelserve.DefaultAlpha, "default conformal miscoverage level recorded for the version (0.1 = 90% bands)")
 	activate := fs.Bool("activate", true, "point the manifest's active version at the new artifacts (false: stage for a later rollout)")
@@ -339,21 +363,8 @@ func runTrain(args []string) {
 		log.Fatalf("-alpha %g outside (0,1)", *alpha)
 	}
 	avails, rccs := load(c)
-	_, tensor, sp := buildTensor(c, avails, rccs)
-	cfg := core.DefaultConfig()
-	cfg.HPTTrials = c.trials
-	cfg.Seed = c.seed
-	cfg.Workers = c.workers
-	tv, err := modelserve.TrainVersion(tensor, sp.Train, sp.Val, modelserve.TrainOptions{
-		Windows: wins, Alpha: *alpha, Version: *version, Config: cfg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	name, err := tv.WriteTo(*modelDir, *activate)
-	if err != nil {
-		log.Fatal(err)
-	}
+	opts := modelserve.TrainOptions{Windows: wins, Alpha: *alpha, Version: *version}
+	name, tv, sp := publishVersion(c, avails, rccs, *modelDir, opts, *activate)
 	fmt.Printf("published model version %s to %s\n", name, *modelDir)
 	for _, w := range tv.Windows() {
 		fmt.Printf("  window %s trained on %d avails, calibrated on %d (alpha %g)\n",
@@ -366,9 +377,26 @@ func runTrain(args []string) {
 	}
 }
 
+// publishVersion trains one model version over the inputs (one pipeline
+// and conformal calibration per window of opts) and publishes it into the
+// registry at dir: the code runTrain and serve's temp registry share.
+func publishVersion(c *commonFlags, avails []domain.Avail, rccs []domain.RCC, dir string, opts modelserve.TrainOptions, activate bool) (string, *modelserve.TrainedVersion, split.Splits) {
+	_, tensor, sp := buildTensor(c, avails, rccs)
+	opts.Config = c.trainConfig()
+	tv, err := modelserve.TrainVersion(tensor, sp.Train, sp.Val, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	name, err := tv.WriteTo(dir, activate)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return name, tv, sp
+}
+
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags)
 	addr := fs.String("addr", ":8080", "listen address")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "max duration for reading a request")
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "max duration for writing a response")
@@ -387,7 +415,7 @@ func runServe(args []string) {
 	replQuorum := fs.Int("repl-quorum", 0, "replicas that must append before an ingest is acknowledged (0: majority of -repl)")
 	replLagMax := fs.Int("repl-lag-max", wal.DefaultReplMaxLag, "records a replica may fall behind before it is failed out of async catch-up (revived by the next snapshot)")
 	dedupCap := fs.Int("dedup-cap", statusq.DefaultDedupCap, "max idempotency keys tracked per catalog shard (negative: unbounded)")
-	modelDir := fs.String("model-dir", "", "serve /predict and fleet predictions from the model registry in this directory (empty: prediction answers carry prediction_unavailable)")
+	modelDir := fs.String("model-dir", "", "serve every estimate from the model registry in this directory (empty: train one version from -avails/-rccs into a temp registry, removed on exit)")
 	modelReload := fs.Duration("model-reload", 0, "poll the model registry and hot-swap new versions this often (0: swap only via POST /models/reload)")
 	predictAlpha := fs.Float64("predict-alpha", 0, "conformal miscoverage level for served bands (0: the active model version's recorded default)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof profiles on this address (empty: disabled; keep it loopback-only)")
@@ -402,34 +430,43 @@ func runServe(args []string) {
 	}
 	parseFlags(fs, args)
 	avails, rccs := load(c)
-	ext, tensor, sp := buildTensor(c, avails, rccs)
-	p := trainPipeline(c, tensor, sp)
-
 	opts := server.Options{
 		FleetParallelism: *fleetPar,
 		MaxInFlight:      *maxInFlight,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
+		PredictAlpha:     *predictAlpha,
 	}
 	if *predictAlpha < 0 || *predictAlpha >= 1 {
 		log.Fatalf("-predict-alpha %g outside (0,1)", *predictAlpha)
 	}
-	// The model registry is optional and its failures are non-fatal: a
-	// serving tier with a bad model directory still answers every read,
-	// annotated prediction_unavailable, until a reload succeeds.
-	var registry *modelserve.Registry
-	if *modelDir != "" {
-		reg, err := modelserve.Open(*modelDir)
+	// Every estimate comes from the model registry; serve never trains
+	// when given one. Without -model-dir (development runs) one version
+	// is trained up front into a temp registry, as `domd train` would.
+	if *modelDir == "" {
+		tmp, err := os.MkdirTemp("", "domd-serve-models-")
 		if err != nil {
-			log.Printf("model registry %s: load failed, predictions unavailable until a reload succeeds: %v", *modelDir, err)
-		} else if v := reg.ActiveVersion(); v != "" {
-			log.Printf("model registry %s: serving version %s", *modelDir, v)
-		} else {
-			log.Printf("model registry %s: no active version yet (run `domd train`, then POST /models/reload)", *modelDir)
+			log.Fatal(err)
 		}
-		registry = reg
-		opts.Models = reg
-		opts.PredictAlpha = *predictAlpha
+		defer os.RemoveAll(tmp) //lint:ignore droppederr best-effort cleanup of a throwaway temp registry
+		wins, err := modelserve.ParseWindows(defaultWindows)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("no -model-dir: training windows %s into temp registry %s (removed on exit)", defaultWindows, tmp)
+		publishVersion(c, avails, rccs, tmp, modelserve.TrainOptions{Windows: wins}, true)
+		*modelDir = tmp
+	}
+	// Registry failures are non-fatal: a serving tier with a bad model
+	// directory still answers every read, annotated
+	// prediction_unavailable, until a reload succeeds.
+	registry, err := modelserve.Open(*modelDir)
+	if err != nil {
+		log.Printf("model registry %s: load failed, estimates unavailable until a reload succeeds: %v", *modelDir, err)
+	} else if v := registry.ActiveVersion(); v != "" {
+		log.Printf("model registry %s: serving version %s", *modelDir, v)
+	} else {
+		log.Printf("model registry %s: no active version yet (run `domd train`, then POST /models/reload)", *modelDir)
 	}
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
@@ -547,7 +584,7 @@ func runServe(args []string) {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           server.New(p, ext, catalog, opts),
+		Handler:           server.New(registry, catalog, opts),
 		ReadTimeout:       *readTimeout,
 		ReadHeaderTimeout: *readTimeout,
 		WriteTimeout:      *writeTimeout,
@@ -561,7 +598,7 @@ func runServe(args []string) {
 
 	// Auto-reload: poll the registry manifest and hot-swap new versions
 	// without an operator POST. Exits with the serve context.
-	if registry != nil && *modelReload > 0 {
+	if *modelReload > 0 {
 		go func() {
 			t := time.NewTicker(*modelReload)
 			defer t.Stop()
@@ -607,23 +644,19 @@ func runServe(args []string) {
 
 func runBacktest(args []string) {
 	fs := flag.NewFlagSet("backtest", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags)
 	folds := fs.Int("folds", 3, "number of walk-forward test blocks")
 	minTrain := fs.Int("min-train", 30, "minimum training avails before the first cutoff")
 	parseFlags(fs, args)
 	avails, rccs := load(c)
 	_, tensor, _ := buildTensor(c, avails, rccs)
 
-	pipeCfg := core.DefaultConfig()
-	pipeCfg.HPTTrials = c.trials
-	pipeCfg.Seed = c.seed
-	pipeCfg.Workers = c.workers
 	btCfg := backtest.DefaultConfig()
 	btCfg.Folds = *folds
 	btCfg.MinTrain = *minTrain
 	btCfg.Seed = c.seed
 
-	results, err := backtest.Run(btCfg, pipeCfg, tensor)
+	results, err := backtest.Run(btCfg, c.trainConfig(), tensor)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -642,7 +675,7 @@ func runBacktest(args []string) {
 
 func runImportances(args []string) {
 	fs := flag.NewFlagSet("importances", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, gridFlags|tuneFlags|fileFlags)
 	topN := fs.Int("top", 15, "number of features to print")
 	parseFlags(fs, args)
 	avails, rccs := load(c)
@@ -674,7 +707,7 @@ func runImportances(args []string) {
 
 func runDrift(args []string) {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
-	c := addCommon(fs)
+	c := addCommon(fs, 0)
 	liveAvails := fs.String("live-avails", "", "live avail table CSV")
 	liveRCCs := fs.String("live-rccs", "", "live RCC table CSV")
 	tstar := fs.Float64("tstar", 50, "logical time at which to compare feature distributions")

@@ -131,7 +131,7 @@ func main() {
 	fmt.Println("\nP50 is the point estimate the paper's pipeline reports;")
 	fmt.Println("P90 is the budgeting number: the delay cost exceeded only 1 time in 10.")
 
-	if err := serveConformalBands(ds, ext, tensor, sp); err != nil {
+	if err := serveConformalBands(ds, tensor, sp); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -141,7 +141,7 @@ func main() {
 // each ongoing avail's 80% band back over GET /predict — the live-serving
 // counterpart of the quantile table above, with a coverage guarantee
 // instead of a quantile fit.
-func serveConformalBands(ds *navsim.Dataset, ext *features.Extractor, tensor *features.Tensor, sp split.Splits) error {
+func serveConformalBands(ds *navsim.Dataset, tensor *features.Tensor, sp split.Splits) error {
 	cfg := core.BaselineConfig()
 	cfg.Fusion = fusion.MethodAverage
 	params := gbt.DefaultParams()
@@ -170,17 +170,13 @@ func serveConformalBands(ds *navsim.Dataset, ext *features.Extractor, tensor *fe
 		return err
 	}
 
-	// The full selected pipeline for point estimates, plus the registry —
-	// the same wiring as `domd serve -model-dir`.
-	pipe, err := core.Train(cfg, tensor, sp.Train, sp.Val)
-	if err != nil {
-		return err
-	}
+	// The registry answers every estimate — the same wiring as
+	// `domd serve -model-dir`.
 	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
 	if err != nil {
 		return err
 	}
-	srv := httptest.NewServer(server.New(pipe, ext, catalog, server.Options{Models: reg}))
+	srv := httptest.NewServer(server.New(reg, catalog, server.Options{}))
 	defer srv.Close()
 
 	fmt.Println("\nCONFORMAL 80% BANDS from live GET /predict (version riskbands-demo)")

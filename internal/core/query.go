@@ -66,13 +66,6 @@ func (r *Result) Final() float64 {
 // re-index: build (or cache) the engine once — e.g. via statusq.Catalog —
 // and call QueryEngine.
 func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) (*Result, error) {
-	ts, err := a.LogicalTime(at)
-	if err != nil {
-		return nil, err
-	}
-	if ts < 0 {
-		return nil, fmt.Errorf("core: avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
-	}
 	eng, err := statusq.NewEngine(a, rccs, s.kind)
 	if err != nil {
 		return nil, err
@@ -81,9 +74,9 @@ func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) 
 }
 
 // QueryEngine answers a DoMD query against a prebuilt Status Query engine.
-// This is the cached serving path: the engine is read-only here, so one
-// engine may be shared by any number of concurrent QueryEngine calls (see
-// the index.TimeIndex concurrency contract).
+// The engine is read-only here, so one engine may be shared by any number
+// of concurrent QueryEngine calls (see the index.TimeIndex concurrency
+// contract).
 func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result, error) {
 	a := eng.Avail()
 	ts, err := a.LogicalTime(at)
@@ -93,31 +86,74 @@ func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result,
 	if ts < 0 {
 		return nil, fmt.Errorf("core: avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
 	}
-	grid := s.pipeline.Timestamps()
+	w, err := WalkEngine(s.pipeline, s.ext, eng, ts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts, Estimates: w.Estimates()}
+	if res.TopDrivers, err = w.TopDrivers(NumTopDrivers); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// NumTopDrivers is how many §5.2.5 contributing features a query answer
+// lists.
+const NumTopDrivers = 5
+
+// Walk is one avail's estimate trajectory under a pipeline: the grid slots
+// up to t*, the full feature vector observed at each, and the raw and
+// fused estimates. Every estimate the framework serves is computed by
+// WalkEngine, so a query answer and a prediction at the same (engine, t*)
+// and pipeline share one feature extraction and agree bit for bit.
+type Walk struct {
+	pipe *Pipeline
+	// Upto indexes the last slot walked: the latest grid timestamp at or
+	// before t*, or slot 0 when t* precedes the whole grid.
+	Upto int
+	// Grid holds the walked timestamps, Fulls the feature vector at each,
+	// and Raw and Fused the estimates (see Pipeline.Trajectory); all have
+	// Upto+1 entries.
+	Grid       []float64
+	Fulls      [][]float64
+	Raw, Fused []float64
+}
+
+// WalkEngine walks pipeline p's grid over a Status Query engine up to
+// logical time ts: it extracts the feature vector at every slot up to
+// ts and runs the trajectory through them. The engine is only read.
+func WalkEngine(p *Pipeline, ext *features.Extractor, eng *statusq.Engine, ts float64) (*Walk, error) {
+	grid := p.Timestamps()
 	upto := 0
 	for k, g := range grid {
 		if g <= ts {
 			upto = k
 		}
 	}
-	fulls := make([][]float64, upto+1)
+	w := &Walk{pipe: p, Upto: upto, Grid: grid[:upto+1], Fulls: make([][]float64, upto+1)}
+	var err error
 	for k := 0; k <= upto; k++ {
-		fulls[k], err = s.ext.Vector(eng, grid[k])
-		if err != nil {
+		if w.Fulls[k], err = ext.Vector(eng, grid[k]); err != nil {
 			return nil, err
 		}
 	}
-	raw, fused, err := s.pipeline.Trajectory(fulls, upto)
-	if err != nil {
+	if w.Raw, w.Fused, err = p.Trajectory(w.Fulls, upto); err != nil {
 		return nil, err
 	}
-	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts}
-	for k := 0; k <= upto; k++ {
-		res.Estimates = append(res.Estimates, Estimate{Timestamp: grid[k], Raw: raw[k], Fused: fused[k]})
+	return w, nil
+}
+
+// Estimates lists the walk's trajectory points in grid order.
+func (w *Walk) Estimates() []Estimate {
+	out := make([]Estimate, len(w.Grid))
+	for k, ts := range w.Grid {
+		out[k] = Estimate{Timestamp: ts, Raw: w.Raw[k], Fused: w.Fused[k]}
 	}
-	res.TopDrivers, err = s.pipeline.TopFeatures(upto, fulls[upto], 5)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return out
+}
+
+// TopDrivers explains the walk's latest estimate: the n features with the
+// highest importance × |z| scores at the last walked slot.
+func (w *Walk) TopDrivers(n int) ([]Attribution, error) {
+	return w.pipe.TopFeatures(w.Upto, w.Fulls[w.Upto], n)
 }

@@ -29,6 +29,8 @@
 package features
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -137,6 +139,20 @@ func (e *Extractor) Names() []string {
 	out := make([]string, 0, NumStatic+len(e.names))
 	out = append(out, StaticNames...)
 	return append(out, e.names...)
+}
+
+// SchemaDigest is the hex SHA-256 of a feature schema: the static block's
+// width, then every column name of the full vector (statics first) in
+// column order. Model artifacts record the digest of the columns they were
+// trained on, so a binary whose extractor lays the columns out differently
+// refuses them instead of feeding a model the wrong columns.
+func SchemaDigest(names []string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "static %d\n", NumStatic)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s\n", name)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Specs exposes the registry (shared; do not mutate).

@@ -15,7 +15,11 @@
 // JSON) together with its conformal calibration residuals and the
 // logical-time window [lo, hi] it covers — the paper trains one model per
 // window of planned-duration percent, and the registry routes each query
-// to the model whose window covers its t*. The manifest lists every
+// to the model whose window covers its t*. Each artifact also records the
+// feature-schema digest of the columns its pipeline reads
+// (features.SchemaDigest); a load refuses an artifact whose digest differs
+// from the running binary's extractor, because its models would read the
+// wrong columns. The manifest lists every
 // version with per-artifact SHA-256 digests; loads verify the digest
 // before trusting an artifact, so a torn copy or bit rot turns into a
 // load failure (and degraded serving) instead of silently wrong numbers.
@@ -25,7 +29,8 @@
 // `domd train` fits per-window pipelines, calibrates conformal bands on
 // the validation split, and writes a new version (TrainVersion +
 // TrainedVersion.WriteTo). `domd serve -model-dir` opens the registry at
-// startup (Open); POST /models/reload (Registry.Reload) re-reads the
+// startup (Open) and answers every estimate from it — /query, /fleet and
+// /predict alike; POST /models/reload (Registry.Reload) re-reads the
 // manifest and atomically swaps the active snapshot — in-flight requests
 // finish on the version they started with. Rollback is the same motion:
 // point the manifest's "active" field at an older version and reload.
@@ -37,12 +42,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 
 	"domd/internal/core"
+	"domd/internal/wal"
 )
 
 // DefaultAlpha is the conformal miscoverage level served when neither the
@@ -133,33 +140,34 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Write atomically replaces <dir>/manifest.json (write-temp-then-rename,
-// the same torn-write discipline as the WAL snapshots).
+// Write durably replaces <dir>/manifest.json (wal.WriteFileAtomic, the
+// WAL snapshots' write-fsync-rename discipline).
 func (m *Manifest) Write(dir string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("modelserve: encode manifest: %w", err)
 	}
-	return atomicWrite(filepath.Join(dir, ManifestName), append(data, '\n'))
+	return writeFile(filepath.Join(dir, ManifestName), append(data, '\n'))
 }
 
-// artifactJSON is the on-disk window artifact: the window, the pipeline
-// in core/persist form, and the sorted conformal calibration residuals
-// per grid slot.
+// artifactJSON is the on-disk window artifact: the window, the digest of
+// the feature schema the pipeline reads, the pipeline in core/persist
+// form, and the sorted conformal calibration residuals per grid slot.
 type artifactJSON struct {
 	Window    Window          `json:"window"`
+	Schema    string          `json:"schema"`
 	Pipeline  json.RawMessage `json:"pipeline"`
 	Residuals [][]float64     `json:"residuals"`
 }
 
 // encodeArtifact serializes one trained window model and returns the
 // bytes plus their SHA-256 digest (the manifest's integrity column).
-func encodeArtifact(w Window, pipe *core.Pipeline, conf *core.Conformal) ([]byte, string, error) {
+func encodeArtifact(w Window, schema string, pipe *core.Pipeline, conf *core.Conformal) ([]byte, string, error) {
 	var buf bytes.Buffer
 	if err := pipe.Save(&buf); err != nil {
 		return nil, "", fmt.Errorf("modelserve: encode pipeline: %w", err)
 	}
-	art := artifactJSON{Window: w, Pipeline: bytes.TrimSpace(buf.Bytes()), Residuals: conf.Residuals()}
+	art := artifactJSON{Window: w, Schema: schema, Pipeline: bytes.TrimSpace(buf.Bytes()), Residuals: conf.Residuals()}
 	data, err := json.Marshal(art)
 	if err != nil {
 		return nil, "", fmt.Errorf("modelserve: encode artifact: %w", err)
@@ -167,11 +175,17 @@ func encodeArtifact(w Window, pipe *core.Pipeline, conf *core.Conformal) ([]byte
 	return data, digest(data), nil
 }
 
-// decodeArtifact rebuilds a loaded window model from artifact bytes.
-func decodeArtifact(data []byte) (Window, *core.Pipeline, *core.Conformal, error) {
+// decodeArtifact rebuilds a loaded window model from artifact bytes. It
+// refuses an artifact trained on a feature schema other than schema, the
+// running binary's, before decoding the pipeline.
+func decodeArtifact(data []byte, schema string) (Window, *core.Pipeline, *core.Conformal, error) {
 	var art artifactJSON
 	if err := json.Unmarshal(data, &art); err != nil {
 		return Window{}, nil, nil, fmt.Errorf("modelserve: parse artifact: %w", err)
+	}
+	if art.Schema != schema {
+		return Window{}, nil, nil, fmt.Errorf("modelserve: artifact feature schema %q differs from this binary's %q: retrain with this binary's `domd train`",
+			art.Schema, schema)
 	}
 	pipe, err := core.Load(bytes.NewReader(art.Pipeline))
 	if err != nil {
@@ -190,50 +204,42 @@ func digest(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// atomicWrite lands data at path via a temp file and rename so readers
-// never observe a half-written artifact.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("modelserve: write %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("modelserve: publish %s: %w", path, err)
+// writeFile lands data at path durably and atomically, so readers never
+// observe a half-written artifact or manifest and concurrent writers
+// never share a temp file.
+func writeFile(path string, data []byte) error {
+	if err := wal.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("modelserve: write %s: %w", path, err)
 	}
 	return nil
 }
 
 // ParseWindows parses the -windows flag form "0-50,50-100" into an
-// ascending window list. Windows must be well-formed (lo < hi, both in
-// ascending order by lo) but may share a boundary point — the shared grid
-// slot is trained into both models and routing picks the earlier window.
+// ascending window list. Each window is "lo-hi" with finite numbers
+// 0 <= lo < hi and nothing else; windows ascend and may share a boundary
+// point (the shared grid slot is trained into both models and routing
+// picks the earlier window) but may not overlap beyond it.
 func ParseWindows(s string) ([]Window, error) {
 	var out []Window
-	for _, part := range splitComma(s) {
-		var w Window
-		if _, err := fmt.Sscanf(part, "%f-%f", &w.Lo, &w.Hi); err != nil {
-			return nil, fmt.Errorf("modelserve: bad window %q (want lo-hi): %w", part, err)
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
 		}
-		if w.Lo < 0 || w.Hi <= w.Lo {
-			return nil, fmt.Errorf("modelserve: bad window %q: need 0 <= lo < hi", part)
+		lo, hi, ok := strings.Cut(part, "-")
+		var w Window
+		var loErr, hiErr error
+		w.Lo, loErr = strconv.ParseFloat(lo, 64)
+		w.Hi, hiErr = strconv.ParseFloat(hi, 64)
+		if !ok || loErr != nil || hiErr != nil || math.IsInf(w.Hi, 0) || !(w.Lo >= 0 && w.Hi > w.Lo) {
+			return nil, fmt.Errorf("modelserve: bad window %q: want lo-hi with finite 0 <= lo < hi", part)
+		}
+		if n := len(out); n > 0 && w.Lo < out[n-1].Hi {
+			return nil, fmt.Errorf("modelserve: window %v overlaps or precedes %v (windows ascend and may share only a boundary)", w, out[n-1])
 		}
 		out = append(out, w)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("modelserve: no windows in %q", s)
 	}
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i].Lo < out[j].Lo }) {
-		return nil, fmt.Errorf("modelserve: windows in %q are not ascending", s)
-	}
 	return out, nil
-}
-
-func splitComma(s string) []string {
-	var parts []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return parts
 }

@@ -114,18 +114,52 @@ func ongoingAvail(t *testing.T, fx *fixture) *domain.Avail {
 }
 
 func TestParseWindows(t *testing.T) {
-	ws, err := ParseWindows("0-50, 50-100")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		in   string
+		want []Window // nil: must be rejected
+	}{
+		{"0-50,50-100", []Window{{Lo: 0, Hi: 50}, {Lo: 50, Hi: 100}}},
+		{"0-50, 50-100", []Window{{Lo: 0, Hi: 50}, {Lo: 50, Hi: 100}}},
+		{"0-30,60-100", []Window{{Lo: 0, Hi: 30}, {Lo: 60, Hi: 100}}},
+		{"12.5-100", []Window{{Lo: 12.5, Hi: 100}}},
+		{"", nil},
+		{"50-0", nil},
+		{"banana", nil},
+		{"0-50,25-75,10-20", nil},
+		{"-5-10", nil},
+		{"0-60,50-100", nil}, // overlap beyond a shared boundary
+		{"0-50,0-100", nil},  // same start
+		{"50-100,0-50", nil}, // descending
+		{"0-50x,50-100", nil},
+		{"50-100-7", nil},
+		{"0-50,50-100junk", nil},
+		{"NaN-50", nil},
+		{"0-Inf", nil},
+		{"0 - 50", nil},
 	}
-	if len(ws) != 2 || ws[0] != (Window{Lo: 0, Hi: 50}) || ws[1] != (Window{Lo: 50, Hi: 100}) {
-		t.Fatalf("windows = %v", ws)
-	}
-	for _, bad := range []string{"", "50-0", "banana", "0-50,25-75,10-20", "-5-10"} {
-		if _, err := ParseWindows(bad); err == nil {
-			t.Errorf("ParseWindows(%q) accepted", bad)
+	for _, c := range cases {
+		got, err := ParseWindows(c.in)
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("ParseWindows(%q) = %v, want an error", c.in, got)
+		case c.want != nil && err != nil:
+			t.Errorf("ParseWindows(%q): %v", c.in, err)
+		case c.want != nil && !equalWindows(got, c.want):
+			t.Errorf("ParseWindows(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+func equalWindows(a, b []Window) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestTrainWriteOpenRoundTrip(t *testing.T) {

@@ -15,5 +15,5 @@ var (
 	mFallbacks = obs.NewCounter("domd_model_window_fallbacks_total",
 		"Predictions answered by the nearest window because no trained window covered the query's t* (rows carry window_fallback:true).")
 	mPredictLatency = obs.NewHistogram("domd_predict_duration_seconds",
-		"Model-side prediction latency: feature extraction, trajectory, and conformal band for one avail.", obs.DefBuckets)
+		"Model-side latency of one estimate: feature extraction, trajectory, conformal band, and (for /query and /fleet) top drivers for one avail.", obs.DefBuckets)
 )

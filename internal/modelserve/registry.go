@@ -73,6 +73,9 @@ type snapshot struct {
 type Registry struct {
 	dir string
 	ext *features.Extractor
+	// schema is ext's feature-schema digest; loads refuse artifacts
+	// trained on any other.
+	schema string
 
 	// reloadMu serializes Reload so concurrent swaps cannot interleave
 	// and move the observed version backwards; Predict never takes it.
@@ -87,7 +90,8 @@ type Registry struct {
 // the error is returned so the caller can log it, but serving reads must
 // not die because a model directory is bad.
 func Open(dir string) (*Registry, error) {
-	r := &Registry{dir: dir, ext: features.NewExtractor()}
+	ext := features.NewExtractor()
+	r := &Registry{dir: dir, ext: ext, schema: features.SchemaDigest(ext.Names())}
 	snap, err := r.buildSnapshot()
 	r.snap.Store(snap)
 	if snap.active != nil {
@@ -151,7 +155,7 @@ func (r *Registry) Reload() (SwapReport, error) {
 }
 
 // buildSnapshot reads the manifest and loads the active version's
-// artifacts, verifying each digest. An empty manifest (nothing trained
+// artifacts, verifying each content digest and feature-schema digest. An empty manifest (nothing trained
 // yet) is a valid empty snapshot; any read, parse, or digest failure is
 // an error and the returned snapshot carries the reason for GET /models.
 func (r *Registry) buildSnapshot() (*snapshot, error) {
@@ -176,7 +180,7 @@ func (r *Registry) buildSnapshot() (*snapshot, error) {
 }
 
 // loadVersion loads and digest-verifies every window artifact of one
-// manifest version.
+// manifest version, refusing any trained on another feature schema.
 func (r *Registry) loadVersion(mv *ManifestVersion) (*loadedVersion, error) {
 	if len(mv.Artifacts) == 0 {
 		return nil, fmt.Errorf("modelserve: version %q has no window artifacts", mv.Version)
@@ -194,7 +198,7 @@ func (r *Registry) loadVersion(mv *ManifestVersion) (*loadedVersion, error) {
 			return nil, fmt.Errorf("modelserve: version %q: %s digest mismatch (manifest %s, file %s)",
 				mv.Version, art.File, art.SHA256, got)
 		}
-		w, pipe, conf, err := decodeArtifact(data)
+		w, pipe, conf, err := decodeArtifact(data, r.schema)
 		if err != nil {
 			return nil, fmt.Errorf("modelserve: version %q: %s: %w", mv.Version, art.File, err)
 		}
@@ -289,58 +293,72 @@ type Prediction struct {
 	WindowFallback bool
 }
 
+// Explanation is what a DoMD query answer shows beyond its Prediction:
+// the routed window's estimate trajectory up to t* (the last estimate's
+// Fused is the prediction's Delay) and the top drivers of that estimate.
+type Explanation struct {
+	Estimates  []core.Estimate
+	TopDrivers []core.Attribution
+}
+
 // Predict answers one delay prediction for a live avail from its cached
-// Status Query engine: route t* to a window model, extract the feature
-// trajectory, fuse, and band. alpha <= 0 selects the version's default
-// level. Returns ErrNoModel when no version is loaded; the engine is
-// read-only here, so concurrent Predict calls share engines and models
+// Status Query engine: route t* to a window model, walk its grid
+// (core.WalkEngine), fuse, and band. alpha <= 0 selects the version's
+// default level. Returns ErrNoModel when no version is loaded; the engine
+// is read-only here, so concurrent Predict calls share engines and models
 // freely.
 func (r *Registry) Predict(eng *statusq.Engine, at domain.Day, alpha float64) (*Prediction, error) {
+	pred, _, err := r.predict(eng, at, alpha, false)
+	return pred, err
+}
+
+// Explain is Predict plus the Explanation a DoMD query answer shows, from
+// the same walk of the routed window's grid: its Prediction is bitwise
+// Predict's for the same arguments and model version.
+func (r *Registry) Explain(eng *statusq.Engine, at domain.Day, alpha float64) (*Prediction, *Explanation, error) {
+	return r.predict(eng, at, alpha, true)
+}
+
+func (r *Registry) predict(eng *statusq.Engine, at domain.Day, alpha float64, explain bool) (*Prediction, *Explanation, error) {
 	snap := r.snap.Load()
 	if snap == nil || snap.active == nil {
-		return nil, ErrNoModel
+		return nil, nil, ErrNoModel
 	}
 	v := snap.active
 	ts, err := eng.LogicalTime(at)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ts < 0 {
-		return nil, fmt.Errorf("modelserve: avail %d has not started at %v (t* = %.1f%%)", eng.Avail().ID, at, ts)
+		return nil, nil, fmt.Errorf("modelserve: avail %d has not started at %v (t* = %.1f%%)", eng.Avail().ID, at, ts)
 	}
 	sw := obs.StartTimer()
 	m, fallback := v.route(ts)
 	if alpha <= 0 {
 		alpha = v.alpha
 	}
-	grid := m.pipe.Timestamps()
-	upto := 0
-	for k, g := range grid {
-		if g <= ts {
-			upto = k
-		}
-	}
-	fulls := make([][]float64, upto+1)
-	for k := 0; k <= upto; k++ {
-		fulls[k], err = r.ext.Vector(eng, grid[k])
-		if err != nil {
-			return nil, err
-		}
-	}
-	raw, _, err := m.pipe.Trajectory(fulls, upto)
+	w, err := core.WalkEngine(m.pipe, r.ext, eng, ts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lo, mid, hi, err := m.conf.Interval(raw, upto, alpha)
+	lo, mid, hi, err := m.conf.Interval(w.Raw, w.Upto, alpha)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	pred := &Prediction{
+		Delay: mid, Lo: lo, Hi: hi, Alpha: alpha,
+		Version: v.name, Window: m.window, WindowFallback: fallback,
+	}
+	var expl *Explanation
+	if explain {
+		expl = &Explanation{Estimates: w.Estimates()}
+		if expl.TopDrivers, err = w.TopDrivers(core.NumTopDrivers); err != nil {
+			return nil, nil, err
+		}
 	}
 	if fallback {
 		mFallbacks.Inc()
 	}
 	mPredictLatency.ObserveSince(sw)
-	return &Prediction{
-		Delay: mid, Lo: lo, Hi: hi, Alpha: alpha,
-		Version: v.name, Window: m.window, WindowFallback: fallback,
-	}, nil
+	return pred, expl, nil
 }

@@ -80,7 +80,7 @@ func TrainVersion(tensor *features.Tensor, trainRows, calibRows []int, opts Trai
 		if err != nil {
 			return nil, fmt.Errorf("modelserve: calibrate window %v: %w", w, err)
 		}
-		data, sha, err := encodeArtifact(w, pipe, conf)
+		data, sha, err := encodeArtifact(w, features.SchemaDigest(sub.Slices[0].Names), pipe, conf)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +114,7 @@ func windowTensor(t *features.Tensor, w Window) (*features.Tensor, error) {
 }
 
 // WriteTo publishes the version into a model directory: artifacts first
-// (write-temp-then-rename), the manifest last, so a reload that races the
+// (each written durably and atomically), the manifest last, so a reload that races the
 // publish sees either the old manifest or a complete new version. When
 // activate is true (or the manifest has no active version yet) the new
 // version becomes the serving one; an entry with the same name is
@@ -127,7 +127,7 @@ func (tv *TrainedVersion) WriteTo(dir string, activate bool) (string, error) {
 	mv := ManifestVersion{Version: tv.Name, Alpha: tv.Alpha}
 	for i, a := range tv.arts {
 		rel := tv.Name + "/" + fmt.Sprintf("window-%03d.json", i)
-		if err := atomicWrite(filepath.Join(dir, filepath.FromSlash(rel)), a.data); err != nil {
+		if err := writeFile(filepath.Join(dir, filepath.FromSlash(rel)), a.data); err != nil {
 			return "", err
 		}
 		mv.Artifacts = append(mv.Artifacts, ManifestArtifact{File: rel, Lo: a.window.Lo, Hi: a.window.Hi, SHA256: a.sha})

@@ -53,7 +53,6 @@ func TestChaosKillMidIngest(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	dc2, info, err := statusq.OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
@@ -69,7 +68,7 @@ func TestChaosKillMidIngest(t *testing.T) {
 
 	// Retrying the acknowledged ingests against the restarted server
 	// dedups: the acks were durable.
-	srv2 := httptest.NewServer(New(pipe, ext, dc2.Catalog, Options{Ingester: dc2}))
+	srv2 := httptest.NewServer(New(newTestRegistry(t), dc2.Catalog, Options{Ingester: dc2}))
 	defer srv2.Close()
 	for i := 0; i < 3; i++ {
 		status, _, out := postJSON(t, srv2.URL+"/rccs", rccBody(930001+i, a), nil)
@@ -138,7 +137,6 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	dc2, info, err := statusq.OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
@@ -148,7 +146,7 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	if info.Restored < 2 {
 		t.Fatalf("restored %d records, want >= 2 (info %+v)", info.Restored, info)
 	}
-	srv2 := httptest.NewServer(New(pipe, ext, dc2.Catalog, Options{Ingester: dc2}))
+	srv2 := httptest.NewServer(New(newTestRegistry(t), dc2.Catalog, Options{Ingester: dc2}))
 	defer srv2.Close()
 	for _, id := range []int{970001, 970002} {
 		status, _, out := postJSON(t, srv2.URL+"/rccs", rccBody(id, a), nil)
@@ -240,12 +238,11 @@ func TestChaosLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{MaxInFlight: 1}))
+	srv := httptest.NewServer(New(newTestRegistry(t), catalog, Options{MaxInFlight: 1}))
 	defer srv.Close()
 	a := ongoingAvail(t, ds)
 

@@ -23,7 +23,6 @@ func newDurableServer(t *testing.T, dir string, opts Options) (*httptest.Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	dc, _, err := statusq.OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
@@ -31,7 +30,7 @@ func newDurableServer(t *testing.T, dir string, opts Options) (*httptest.Server,
 	}
 	t.Cleanup(func() { dc.Close() })
 	opts.Ingester = dc
-	srv := httptest.NewServer(New(pipe, ext, dc.Catalog, opts))
+	srv := httptest.NewServer(New(newTestRegistry(t), dc.Catalog, opts))
 	t.Cleanup(srv.Close)
 	return srv, ds, dc
 }

@@ -57,7 +57,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	// SyncAlways + CompactEvery:1 so every acknowledged ingest moves the
 	// WAL sync and compaction counters, not just the append counter.
 	dc, _, err := statusq.OpenDurable(t.TempDir(), ds.Avails, ds.RCCs, index.KindAVL,
@@ -66,7 +65,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dc.Close()
-	srv := httptest.NewServer(New(pipe, ext, dc.Catalog, Options{Ingester: dc}))
+	srv := httptest.NewServer(New(newTestRegistry(t), dc.Catalog, Options{Ingester: dc}))
 	defer srv.Close()
 
 	a := ongoingAvail(t, ds)
@@ -141,7 +140,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shedSrv := httptest.NewServer(New(pipe, ext, shedCat, Options{MaxInFlight: 1}))
+	shedSrv := httptest.NewServer(New(newTestRegistry(t), shedCat, Options{MaxInFlight: 1}))
 	defer shedSrv.Close()
 	entered := make(chan struct{})
 	release := make(chan struct{})

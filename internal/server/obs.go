@@ -25,7 +25,7 @@ func Endpoints() []Endpoint {
 		{"GET", "/healthz", "", "liveness probe: 200 while the process is up (bypasses load shedding)"},
 		{"GET", "/readyz", "", "readiness probe: per-shard health + replication lag JSON; 503 when unready or any shard is failed with no promotable replica (bypasses load shedding)"},
 		{"GET", "/avails", "", "list every avail: id, ship, status, planned/actual dates, realized delay"},
-		{"GET", "/query", "avail=ID&date=YYYY-MM-DD", "DoMD estimate for one avail, with stale/asOf degraded-answer markers"},
+		{"GET", "/query", "avail=ID&date=YYYY-MM-DD", "DoMD estimate for one avail from the active model version (routed window, trajectory, top drivers), with stale/asOf degraded-answer markers"},
 		{"GET", "/fleet", "date=YYYY-MM-DD", "DoMD estimates for every ongoing avail, bounded-parallel, per-avail error isolation"},
 		{"POST", "/query/batch", "", "many DoMD queries in one JSON body; one engine lookup per distinct avail, bounded-parallel, per-row error isolation"},
 		{"GET", "/predict", "avail=ID&date=YYYY-MM-DD&alpha=0.1", "predicted delay with conformal band and model version; degraded answers carry prediction_unavailable, never a 5xx"},
@@ -93,5 +93,5 @@ var (
 	mPanics = obs.NewCounter("domd_http_panics_total",
 		"Handler panics recovered by the middleware (process kept serving).")
 	mPredictUnavailable = obs.NewCounter("domd_predict_unavailable_total",
-		"Prediction requests and fleet rows answered prediction_unavailable (no registry configured, empty registry, or model failure) instead of a 5xx.")
+		"Estimates (/query, /query/batch and /predict answers, /fleet rows) answered prediction_unavailable (empty registry, failed load, or model failure) instead of a 5xx.")
 )

@@ -1,23 +1,17 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
-	"domd/internal/domain"
 	"domd/internal/obs"
-	"domd/internal/statusq"
 )
 
-// The /predict, /models, and /models/reload handlers: the serving face of
-// internal/modelserve. Read-path degradation mirrors /query and /fleet —
-// a missing or broken model registry annotates answers instead of
-// failing them; only the admin write path (/models/reload) may 5xx.
+// The /predict rendering and the POST /predict, /models, and
+// /models/reload handlers: the serving face of internal/modelserve. Read-path degradation mirrors /query and /fleet —
+// an empty or broken model registry annotates answers instead of failing
+// them; only the admin write path (/models/reload) may 5xx.
 
 // windowView is the trained logical-time window a prediction came from.
 type windowView struct {
@@ -46,53 +40,23 @@ type predictRow struct {
 	AsOf                  int64       `json:"asOf"`
 }
 
-// renderPredict evaluates one prediction against an already-resolved
-// engine. Date/avail problems (not started, invalid t*) are errors — the
-// request itself is unanswerable, same contract as /query. Model
-// problems are not: they annotate the row prediction_unavailable.
-func (s *Server) renderPredict(eng *statusq.Engine, asOf int64, stale bool, at domain.Day, alpha float64) (*predictRow, error) {
-	a := eng.Avail()
-	ts, err := eng.LogicalTime(at)
-	if err != nil {
-		return nil, err
-	}
-	if ts < 0 {
-		return nil, fmt.Errorf("avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
-	}
-	row := &predictRow{AvailID: a.ID, At: at.String(), LogicalTime: ts, Stale: stale, AsOf: asOf}
-	if s.models == nil {
+// predictRow shapes an answer as a /predict row.
+func (ans *answer) predictRow() *predictRow {
+	row := &predictRow{AvailID: ans.availID, At: ans.at.String(), LogicalTime: ans.ts, Stale: ans.stale, AsOf: ans.asOf}
+	p := ans.pred
+	if p == nil {
 		row.PredictionUnavailable = true
-		row.UnavailableReason = "no model registry configured (serve -model-dir)"
-		mPredictUnavailable.Inc()
-		return row, nil
+		row.UnavailableReason = ans.reason
+		return row
 	}
-	pred, err := s.models.Predict(eng, at, alpha)
-	if err != nil {
-		row.PredictionUnavailable = true
-		row.UnavailableReason = err.Error()
-		mPredictUnavailable.Inc()
-		return row, nil
-	}
-	row.PredictedDelay = &pred.Delay
-	row.BandLo = &pred.Lo
-	row.BandHi = &pred.Hi
-	row.Alpha = pred.Alpha
-	row.ModelVersion = pred.Version
-	row.Window = &windowView{Lo: pred.Window.Lo, Hi: pred.Window.Hi}
-	row.WindowFallback = pred.WindowFallback
-	return row, nil
-}
-
-// predictOne resolves the avail's cached engine and renders a prediction.
-func (s *Server) predictOne(ctx context.Context, id int, at domain.Day, alpha float64) (*predictRow, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eng, asOf, stale, err := s.catalog.EngineAsOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.renderPredict(eng, asOf, stale, at, alpha)
+	row.PredictedDelay = &p.Delay
+	row.BandLo = &p.Lo
+	row.BandHi = &p.Hi
+	row.Alpha = p.Alpha
+	row.ModelVersion = p.Version
+	row.Window = &windowView{Lo: p.Window.Lo, Hi: p.Window.Hi}
+	row.WindowFallback = p.WindowFallback
+	return row
 }
 
 // parseAlpha reads an optional ?alpha= parameter; absent defers to the
@@ -107,44 +71,6 @@ func (s *Server) parseAlpha(r *http.Request) (float64, error) {
 		return 0, fmt.Errorf("alpha must be a number in (0,1), got %q", raw)
 	}
 	return alpha, nil
-}
-
-// handlePredict is GET /predict. Status contract: 400 bad parameters,
-// 404 unknown avail, 422 avail not started at the date, 200 otherwise —
-// including model-side degradation, which annotates the body instead.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Query().Get("avail"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing or invalid avail parameter"))
-		return
-	}
-	at, err := domain.ParseDay(r.URL.Query().Get("date"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	alpha, err := s.parseAlpha(r)
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	row, err := s.predictOne(r.Context(), id, at, alpha)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, statusq.ErrUnknownAvail) {
-			status = http.StatusNotFound
-		}
-		s.writeErr(w, r, status, err)
-		return
-	}
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		sp.SetBool("stale", row.Stale)
-		sp.SetBool("unavailable", row.PredictionUnavailable)
-		if row.ModelVersion != "" {
-			sp.Set("model", row.ModelVersion)
-		}
-	}
-	s.writeJSON(w, r, http.StatusOK, row)
 }
 
 // predictBatchIn is the POST /predict request body; Alpha <= 0 defers to
@@ -163,32 +89,12 @@ type predictBatchRow struct {
 }
 
 // handlePredictBatch is POST /predict: many predictions in one request,
-// with the /query/batch amortization (one engine lookup per distinct
-// avail) and status contract — 400 malformed or empty body, 413
-// oversized, 422 over MaxBatchQueries or bad alpha, 200 with per-row
-// errors inline.
+// with the /query/batch amortization (see answerBatch) and status
+// contract — 400 malformed or empty body, 413 oversized, 422 over
+// MaxBatchQueries or bad alpha, 200 with per-row errors inline.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var in predictBatchIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
-		return
-	}
-	if len(in.Queries) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("empty batch: provide at least one query"))
-		return
-	}
-	if len(in.Queries) > MaxBatchQueries {
-		s.writeErr(w, r, http.StatusUnprocessableEntity,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(in.Queries), MaxBatchQueries))
+	if !s.decodeBody(w, r, &in) || !s.checkBatchSize(w, r, len(in.Queries)) {
 		return
 	}
 	alpha := in.Alpha
@@ -199,96 +105,22 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusUnprocessableEntity, fmt.Errorf("alpha must lie in (0,1), got %g", in.Alpha))
 		return
 	}
-
-	// One engine resolution per distinct avail, same as /query/batch.
-	type resolved struct {
-		eng   *statusq.Engine
-		asOf  int64
-		stale bool
-		err   error
-	}
-	engines := make(map[int]*resolved)
-	for _, q := range in.Queries {
-		if _, ok := engines[q.Avail]; ok {
-			continue
-		}
-		res := &resolved{}
-		res.eng, res.asOf, res.stale, res.err = s.catalog.EngineAsOf(q.Avail)
-		engines[q.Avail] = res
-	}
-
+	answers, errs := s.answerBatch(r.Context(), in.Queries, alpha, false)
 	rows := make([]predictBatchRow, len(in.Queries))
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
 	for i, q := range in.Queries {
-		rows[i].AvailID = q.Avail
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			at, err := domain.ParseDay(q.Date)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			res := engines[q.Avail]
-			if res.err != nil {
-				rows[i].Error = res.err.Error()
-				return
-			}
-			row, err := s.renderPredict(res.eng, res.asOf, res.stale, at, alpha)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].Result = row
-		}()
-	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		failed, unavailable := 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.PredictionUnavailable {
-				unavailable++
-			}
+		rows[i] = predictBatchRow{AvailID: q.Avail, Error: errs[i]}
+		if answers[i] != nil {
+			rows[i].Result = answers[i].predictRow()
 		}
-		sp.SetInt("rows", int64(len(rows)))
-		sp.SetInt("avails", int64(len(engines)))
-		sp.SetInt("failedRows", int64(failed))
-		sp.SetInt("unavailablePredictions", int64(unavailable))
 	}
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 
-// modelsView is the GET /models body: enabled reports whether a registry
-// is wired at all; the rest is the registry's own status listing.
-type modelsView struct {
-	Enabled   bool   `json:"enabled"`
-	Dir       string `json:"dir,omitempty"`
-	Active    string `json:"active,omitempty"`
-	LoadError string `json:"load_error,omitempty"`
-	Versions  any    `json:"versions"`
-}
-
 // handleModels is GET /models: the registry listing operators check
-// before and after a rollout. Always 200 — an unconfigured or degraded
-// registry is a fact to report, not a failure.
+// before and after a rollout. Always 200 — an empty or degraded registry
+// is a fact to report (no active version, load_error), not a failure.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if s.models == nil {
-		s.writeJSON(w, r, http.StatusOK, modelsView{Enabled: false, Versions: []struct{}{}})
-		return
-	}
-	st := s.models.RegistryStatus()
-	s.writeJSON(w, r, http.StatusOK, modelsView{
-		Enabled: true, Dir: st.Dir, Active: st.Active, LoadError: st.LoadError, Versions: st.Versions,
-	})
+	s.writeJSON(w, r, http.StatusOK, s.models.RegistryStatus())
 }
 
 // reloadView is the POST /models/reload acknowledgment.
@@ -302,15 +134,10 @@ type reloadView struct {
 
 // handleModelsReload is POST /models/reload, the hot-swap trigger: 200
 // with the swap report on success (swapped:false when the manifest still
-// names the serving version), 503 when no registry is configured or the
-// reload failed — in the latter case the previous version keeps serving,
-// so a bad rollout degrades the admin path, never the read path.
+// names the serving version), 503 when the reload failed — the previous
+// version keeps serving, so a bad rollout degrades the admin path, never
+// the read path.
 func (s *Server) handleModelsReload(w http.ResponseWriter, r *http.Request) {
-	if s.models == nil {
-		s.writeErr(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("model serving disabled: start serve with -model-dir"))
-		return
-	}
 	rep, err := s.models.Reload()
 	view := reloadView{Active: rep.Active, Swapped: rep.Swapped, Versions: rep.Versions, Windows: rep.Windows}
 	if sp := obs.FromContext(r.Context()); sp != nil {

@@ -71,21 +71,20 @@ func newTestRegistry(t *testing.T) *modelserve.Registry {
 	return reg
 }
 
-// newPredictServer is newTestServer with a model registry wired in — the
-// `domd serve -model-dir` configuration.
+// newPredictServer is newTestServer that also hands back the registry —
+// the `domd serve -model-dir` configuration.
 func newPredictServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *modelserve.Registry) {
 	t.Helper()
 	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := newTestRegistry(t)
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{Models: reg}))
+	srv := httptest.NewServer(New(reg, catalog, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, reg
 }
@@ -98,14 +97,13 @@ func newShardedPredictServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	sc, _, err := statusq.OpenSharded(t.TempDir(), 4, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sc.Close() })
-	srv := httptest.NewServer(New(pipe, ext, sc, Options{Models: newTestRegistry(t)}))
+	srv := httptest.NewServer(New(newTestRegistry(t), sc, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, sc
 }
@@ -171,12 +169,37 @@ func TestPredictEndpoint(t *testing.T) {
 	get(t, srv.URL+"/predict?avail=nope&date="+date, http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s&alpha=1.5", srv.URL, a.ID, date), http.StatusBadRequest, nil)
 	get(t, srv.URL+"/predict?avail=999999&date="+date, http.StatusNotFound, nil)
-	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s", srv.URL, a.ID, (a.ActStart - 30).String()),
+	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s", srv.URL, a.ID, (a.ActStart-30).String()),
 		http.StatusUnprocessableEntity, nil)
 }
 
+// newEmptyRegistryServer serves the fixture fleet from a registry nothing
+// has been trained into yet — every estimate is prediction_unavailable.
+func newEmptyRegistryServer(t *testing.T) (*httptest.Server, *navsim.Dataset) {
+	t.Helper()
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := modelserve.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(reg, catalog, Options{}))
+	t.Cleanup(srv.Close)
+	return srv, ds
+}
+
+// TestPredictWithoutRegistryNever5xx pins the read contract of a registry
+// with no loaded model: /predict, /query and every /fleet row answer 200
+// with prediction_unavailable and a reason, never a number and never a
+// 5xx.
 func TestPredictWithoutRegistryNever5xx(t *testing.T) {
-	srv, ds, _ := newTestServer(t) // no Options.Models
+	srv, ds := newEmptyRegistryServer(t)
 	i := firstOngoing(t, ds)
 	a := &ds.Avails[i]
 	date := a.PhysicalTime(60).String()
@@ -194,37 +217,49 @@ func TestPredictWithoutRegistryNever5xx(t *testing.T) {
 		t.Error("unavailable answer still carries a point estimate")
 	}
 
-	// /fleet rows degrade the same way, and the DoMD estimate survives.
+	// /query degrades the same way: no estimate, no trajectory.
+	var q map[string]any
+	get(t, fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, a.ID, date), http.StatusOK, &q)
+	if q["prediction_unavailable"] != true || q["unavailable_reason"] == "" {
+		t.Errorf("query = %v, want prediction_unavailable with a reason", q)
+	}
+	if q["estimated_delay_days"] != nil || q["estimates"] != nil || q["model_version"] != nil {
+		t.Errorf("unavailable query still carries estimates: %v", q)
+	}
+
+	// /fleet rows degrade the same way, keeping their provenance.
 	var fleet []map[string]any
 	get(t, srv.URL+"/fleet?date="+fleetDate(ds).String(), http.StatusOK, &fleet)
 	for _, r := range fleet {
 		if r["error"] != nil {
 			continue
 		}
-		if r["prediction_unavailable"] != true {
+		if r["prediction_unavailable"] != true || r["predicted_delay"] != nil {
 			t.Errorf("fleet row %v lacks prediction_unavailable", r["avail_id"])
 		}
-		if r["result"] == nil {
-			t.Errorf("fleet row %v lost its DoMD estimate", r["avail_id"])
+		res, ok := r["result"].(map[string]any)
+		if !ok || res["prediction_unavailable"] != true || res["asOf"] == nil {
+			t.Errorf("fleet row %v result = %v, want an unavailable answer with asOf", r["avail_id"], r["result"])
 		}
 	}
 
-	// /models reports disabled; the reload admin path is the one place
-	// a missing registry may 5xx.
+	// /models reports no active version; reloading an empty registry is
+	// not an error, it just finds nothing to serve yet.
 	var models struct {
-		Enabled bool `json:"enabled"`
+		Active    string `json:"active"`
+		LoadError string `json:"load_error"`
 	}
 	get(t, srv.URL+"/models", http.StatusOK, &models)
-	if models.Enabled {
-		t.Error("models reports enabled without a registry")
+	if models.Active != "" || models.LoadError != "" {
+		t.Errorf("empty registry listing = %+v", models)
 	}
 	resp, err := http.Post(srv.URL+"/models/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("reload without registry: %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("reload of an empty registry: %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -359,7 +394,6 @@ func TestModelsListingAndReload(t *testing.T) {
 	date := a.PhysicalTime(60).String()
 
 	var models struct {
-		Enabled  bool   `json:"enabled"`
 		Active   string `json:"active"`
 		Versions []struct {
 			Version string `json:"version"`
@@ -372,7 +406,7 @@ func TestModelsListingAndReload(t *testing.T) {
 		} `json:"versions"`
 	}
 	get(t, srv.URL+"/models", http.StatusOK, &models)
-	if !models.Enabled || models.Active != "v001" || len(models.Versions) != 1 {
+	if models.Active != "v001" || len(models.Versions) != 1 {
 		t.Fatalf("models = %+v", models)
 	}
 	if v := models.Versions[0]; !v.Active || len(v.Windows) != 2 || len(v.Windows[0].SHA256) != 64 {

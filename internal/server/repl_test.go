@@ -25,14 +25,13 @@ func newReplShardedServer(t *testing.T, root string) (*httptest.Server, *navsim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	sc, _, err := statusq.OpenSharded(root, 2, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{Replicas: 2, WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sc.Close() })
-	srv := httptest.NewServer(New(pipe, ext, sc, Options{}))
+	srv := httptest.NewServer(New(newTestRegistry(t), sc, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, sc
 }

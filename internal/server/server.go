@@ -1,7 +1,7 @@
 // Package server exposes the DoMD framework as an HTTP back end — the role
 // the paper describes for the deployed system ("a back-end engine for a
-// fleet-readiness application within the Navy's SMDII"). It wraps a trained
-// core.Pipeline and a statusq.Catalog behind a small JSON API:
+// fleet-readiness application within the Navy's SMDII"). It wraps a
+// modelserve.Registry and a statusq.Catalog behind a small JSON API:
 //
 //	GET  /healthz                          liveness probe (process is up)
 //	GET  /readyz                           readiness probe (catalog restored,
@@ -12,7 +12,7 @@
 //	POST /query/batch                      many DoMD queries in one request
 //	                                       (one engine lookup per avail)
 //	GET  /predict?avail=ID&date=...        predicted delay + conformal band
-//	                                       + model version (Options.Models)
+//	                                       + model version
 //	POST /predict                          many predictions in one request
 //	GET  /models                           model registry listing
 //	POST /models/reload                    hot-swap the model registry
@@ -23,14 +23,17 @@
 // mux from it, `domd serve -h` prints it, and docs/OPERATIONS.md is
 // cross-checked against it, so the three surfaces cannot drift.
 //
-// # Predictions
+// # One model path
 //
-// When Options.Models wires a modelserve.Registry, /predict serves the
-// paper's end product — a predicted days-of-maintenance-delay per ongoing
-// avail with a split-conformal band — and every /fleet row is annotated
-// with predicted_delay, band_lo/band_hi, and model_version. Prediction
-// failures follow the same degraded-answer contract as stale serving: a
-// missing registry, an empty one, or a model error annotates the row
+// Every estimate comes from the model registry: /query, /query/batch,
+// each /fleet row and /predict all take the window-routed answer of the
+// active model version for the avail's cached engine, so /query's
+// estimated_delay_days and /predict's predicted_delay are the same number
+// from the same feature extraction. /query and /fleet additionally show
+// the routed window's estimate trajectory and top drivers; /predict and
+// /fleet rows carry the split-conformal band. Model failures follow the
+// same degraded-answer contract as stale serving: an empty registry, a
+// failed load, or a model error annotates the answer
 // prediction_unavailable rather than failing the read.
 //
 // # Ingestion
@@ -92,10 +95,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"domd/internal/core"
 	"domd/internal/domain"
 	"domd/internal/features"
-	"domd/internal/index"
 	"domd/internal/modelserve"
 	"domd/internal/obs"
 	"domd/internal/statusq"
@@ -156,10 +157,6 @@ type Options struct {
 	// duration) plus panic and write-failure reports. nil disables
 	// request logging.
 	Logger *log.Logger
-	// Models serves /predict and annotates /fleet rows with predictions.
-	// nil serves without a model registry: those answers carry
-	// prediction_unavailable and /models/reload answers 503.
-	Models *modelserve.Registry
 	// PredictAlpha is the conformal miscoverage level served when a
 	// request does not pass ?alpha=; <= 0 defers to the active model
 	// version's default (modelserve.DefaultAlpha when none is loaded).
@@ -172,8 +169,6 @@ type Options struct {
 // fleet sweeps merged across shards in ascending id order) satisfy it, so
 // the handler call sites are identical under either topology.
 type Catalog interface {
-	// Kind reports the TimeIndex design engines are built with.
-	Kind() index.Kind
 	// Avail resolves one avail record by id.
 	Avail(id int) (*domain.Avail, bool)
 	// AvailIDs lists every avail id in ascending order.
@@ -188,7 +183,7 @@ type Catalog interface {
 
 // Server handles the SMDII-style JSON API.
 type Server struct {
-	svc      *core.QueryService
+	models   *modelserve.Registry
 	catalog  Catalog
 	ingester Ingester
 	mux      *http.ServeMux
@@ -197,31 +192,33 @@ type Server struct {
 	timeout  time.Duration // 0 when the deadline is disabled
 	maxBody  int64
 	logger   *log.Logger
-	models   *modelserve.Registry // nil when serving without models
-	alpha    float64              // default conformal miscoverage level
+	alpha    float64 // default conformal miscoverage level
 	// latEWMA is math.Float64bits of an exponentially weighted moving
 	// average of request latency in seconds; Retry-After on 503s is
 	// derived from it (see retryAfterSeconds).
 	latEWMA atomic.Uint64
 }
 
-// New wires a trained pipeline and an avail catalog into an http.Handler.
-// Queries hit the catalog's engine cache; the catalog's index kind decides
-// the Status Query backend.
-func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Options) *Server {
+// New wires a model registry and an avail catalog into an http.Handler.
+// Every estimate is the registry's answer over the catalog's cached
+// engine. The registry is required — an empty one serves every estimate as
+// prediction_unavailable until a version is trained and reloaded.
+func New(models *modelserve.Registry, catalog Catalog, opts Options) *Server {
+	if models == nil {
+		panic("server: nil model registry")
+	}
 	par := opts.FleetParallelism
 	if par <= 0 {
 		par = DefaultFleetParallelism
 	}
 	s := &Server{
-		svc:      core.NewQueryService(p, ext, catalog.Kind()),
+		models:   models,
 		catalog:  catalog,
 		ingester: opts.Ingester,
 		mux:      http.NewServeMux(),
 		fleetPar: par,
 		maxBody:  opts.MaxBodyBytes,
 		logger:   opts.Logger,
-		models:   opts.Models,
 		alpha:    opts.PredictAlpha,
 	}
 	if s.ingester == nil {
@@ -625,22 +622,70 @@ type driverView struct {
 // engine's revision (RCCs of this avail folded in), Stale reports that
 // the engine predates the newest acknowledged history — either the
 // rebuild failed and the last good engine answered, or an ingest raced
-// this query.
+// this query. The estimate fields are absent when the answer is
+// prediction_unavailable.
 type queryView struct {
-	AvailID     int            `json:"avail_id"`
-	At          string         `json:"at"`
-	LogicalTime float64        `json:"t_star"`
-	FinalDays   float64        `json:"estimated_delay_days"`
-	Stale       bool           `json:"stale"`
-	AsOf        int64          `json:"asOf"`
-	Estimates   []estimateView `json:"estimates"`
-	TopDrivers  []driverView   `json:"top_drivers"`
+	AvailID               int            `json:"avail_id"`
+	At                    string         `json:"at"`
+	LogicalTime           float64        `json:"t_star"`
+	FinalDays             *float64       `json:"estimated_delay_days,omitempty"`
+	ModelVersion          string         `json:"model_version,omitempty"`
+	Window                *windowView    `json:"window,omitempty"`
+	WindowFallback        bool           `json:"window_fallback,omitempty"`
+	PredictionUnavailable bool           `json:"prediction_unavailable,omitempty"`
+	UnavailableReason     string         `json:"unavailable_reason,omitempty"`
+	Stale                 bool           `json:"stale"`
+	AsOf                  int64          `json:"asOf"`
+	Estimates             []estimateView `json:"estimates"`
+	TopDrivers            []driverView   `json:"top_drivers"`
 }
 
-// queryOne answers one avail's DoMD query from the catalog's cached
-// engine, falling back to the last good engine (marked stale) when the
-// current rebuild fails.
-func (s *Server) queryOne(ctx context.Context, id int, at domain.Day) (*queryView, error) {
+// answer is the registry's window-routed answer for one avail on one
+// resolved engine — the single source every /query, /query/batch, /fleet
+// and /predict view renders from. pred is nil when the answer is
+// prediction_unavailable, with the reason; expl is set when explained.
+type answer struct {
+	availID int
+	at      domain.Day
+	ts      float64
+	stale   bool
+	asOf    int64
+	pred    *modelserve.Prediction
+	expl    *modelserve.Explanation
+	reason  string
+}
+
+// answerOn evaluates one avail at one date against an already-resolved
+// engine. Date/avail problems (not started, invalid t*) are errors — the
+// request itself is unanswerable. Model problems are not: they leave the
+// answer prediction_unavailable. explain selects Registry.Explain (the
+// trajectory and top drivers a query view shows) over Registry.Predict.
+func (s *Server) answerOn(eng *statusq.Engine, asOf int64, stale bool, at domain.Day, alpha float64, explain bool) (*answer, error) {
+	a := eng.Avail()
+	ts, err := eng.LogicalTime(at)
+	if err != nil {
+		return nil, err
+	}
+	if ts < 0 {
+		return nil, fmt.Errorf("avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
+	}
+	ans := &answer{availID: a.ID, at: at, ts: ts, stale: stale, asOf: asOf}
+	if explain {
+		ans.pred, ans.expl, err = s.models.Explain(eng, at, alpha)
+	} else {
+		ans.pred, err = s.models.Predict(eng, at, alpha)
+	}
+	if err != nil {
+		ans.pred, ans.reason = nil, err.Error()
+		mPredictUnavailable.Inc()
+	}
+	return ans, nil
+}
+
+// answerOne resolves the avail's cached engine — falling back to the last
+// good engine (marked stale) when the current rebuild fails — and answers
+// on it.
+func (s *Server) answerOne(ctx context.Context, id int, at domain.Day, alpha float64, explain bool) (*answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -648,40 +693,51 @@ func (s *Server) queryOne(ctx context.Context, id int, at domain.Day) (*queryVie
 	if err != nil {
 		return nil, err
 	}
-	return s.renderQuery(eng, asOf, stale, at)
+	return s.answerOn(eng, asOf, stale, at, alpha, explain)
 }
 
-// renderQuery evaluates one DoMD query against an already-resolved engine
-// and shapes the response view. Split out of queryOne so /query/batch can
-// resolve each engine once per avail and reuse it across every query that
-// targets it.
-func (s *Server) renderQuery(eng *statusq.Engine, asOf int64, stale bool, at domain.Day) (*queryView, error) {
-	res, err := s.svc.QueryEngine(eng, at)
-	if err != nil {
-		return nil, err
-	}
+// queryView shapes an explained answer as a DoMD query response.
+func (ans *answer) queryView() *queryView {
 	view := &queryView{
-		AvailID:     res.AvailID,
-		At:          at.String(),
-		LogicalTime: res.LogicalTime,
-		FinalDays:   res.Final(),
-		Stale:       stale,
-		AsOf:        asOf,
+		AvailID:     ans.availID,
+		At:          ans.at.String(),
+		LogicalTime: ans.ts,
+		Stale:       ans.stale,
+		AsOf:        ans.asOf,
 	}
-	for _, e := range res.Estimates {
+	p := ans.pred
+	if p == nil {
+		view.PredictionUnavailable = true
+		view.UnavailableReason = ans.reason
+		return view
+	}
+	view.FinalDays = &p.Delay
+	view.ModelVersion = p.Version
+	view.Window = &windowView{Lo: p.Window.Lo, Hi: p.Window.Hi}
+	view.WindowFallback = p.WindowFallback
+	for _, e := range ans.expl.Estimates {
 		view.Estimates = append(view.Estimates, estimateView{Timestamp: e.Timestamp, Raw: e.Raw, Fused: e.Fused})
 	}
-	for _, d := range res.TopDrivers {
+	for _, d := range ans.expl.TopDrivers {
 		desc, err := features.Describe(d.Name)
 		if err != nil {
 			desc = ""
 		}
 		view.TopDrivers = append(view.TopDrivers, driverView{Name: d.Name, Description: desc, Value: d.Value, Score: d.Score})
 	}
-	return view, nil
+	return view
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) { s.serveOne(w, r, true) }
+
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) { s.serveOne(w, r, false) }
+
+// serveOne answers GET /query (explain) or GET /predict: one avail at one
+// date, from the avail's cached engine. Only /predict reads ?alpha=.
+// Status contract: 400 bad parameters, 404 unknown avail, 422 avail not
+// started at the date, 200 otherwise — including model-side degradation,
+// which annotates the body instead.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, explain bool) {
 	id, err := strconv.Atoi(r.URL.Query().Get("avail"))
 	if err != nil {
 		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing or invalid avail parameter"))
@@ -692,7 +748,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	view, err := s.queryOne(r.Context(), id, at)
+	alpha := s.alpha
+	if !explain {
+		if alpha, err = s.parseAlpha(r); err != nil {
+			s.writeErr(w, r, http.StatusBadRequest, err)
+			return
+		}
+	}
+	ans, err := s.answerOne(r.Context(), id, at, alpha, explain)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, statusq.ErrUnknownAvail) {
@@ -702,20 +765,71 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sp := obs.FromContext(r.Context()); sp != nil {
-		sp.SetInt("asOf", view.AsOf)
-		sp.SetBool("stale", view.Stale)
+		sp.SetInt("asOf", ans.asOf)
+		sp.SetBool("stale", ans.stale)
+		sp.SetBool("unavailable", ans.pred == nil)
+		if ans.pred != nil {
+			sp.Set("model", ans.pred.Version)
+		}
 	}
-	s.writeJSON(w, r, http.StatusOK, view)
+	if explain {
+		s.writeJSON(w, r, http.StatusOK, ans.queryView())
+	} else {
+		s.writeJSON(w, r, http.StatusOK, ans.predictRow())
+	}
+}
+
+// fanOut runs fn(0) … fn(n-1) at most s.fleetPar at a time and waits for
+// all of them: the bounded fan-out of /fleet and the batch endpoints.
+func (s *Server) fanOut(n int, fn func(i int)) {
+	sem := make(chan struct{}, s.fleetPar)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// traceRows annotates the request span with a multi-row answer's outcome
+// counts; errs[i] != "" marks row i failed, with answers[i] nil.
+func traceRows(ctx context.Context, answers []*answer, errs []string) {
+	sp := obs.FromContext(ctx)
+	if sp == nil {
+		return
+	}
+	stale, failed, unavailable := 0, 0, 0
+	for i, ans := range answers {
+		switch {
+		case errs[i] != "":
+			failed++
+			continue
+		case ans.pred == nil:
+			unavailable++
+		}
+		if ans.stale {
+			stale++
+		}
+	}
+	sp.SetInt("rows", int64(len(answers)))
+	sp.SetInt("staleRows", int64(stale))
+	sp.SetInt("failedRows", int64(failed))
+	sp.SetInt("unavailablePredictions", int64(unavailable))
 }
 
 // fleetRow is one /fleet entry; failed avails carry an error message so one
 // unqueryable avail doesn't hide the rest of the fleet. Result rows carry
 // the same "stale"/"asOf" degraded-answer markers as /query, plus a
 // "degraded" flag when the owning shard's health ladder is below healthy
-// (the answer may be correct-but-stale while the shard recovers). When a
-// model registry serves, each row additionally carries the predicted
-// delay, its conformal band, and the producing model version — or
-// prediction_unavailable under the same degraded-answer contract.
+// (the answer may be correct-but-stale while the shard recovers). Each
+// row's result and its predicted delay, conformal band and model version
+// come from one registry answer — or both carry prediction_unavailable
+// under the same degraded-answer contract.
 type fleetRow struct {
 	AvailID               int        `json:"avail_id"`
 	Degraded              bool       `json:"degraded,omitempty"`
@@ -736,95 +850,47 @@ type availHealth interface {
 	HealthForAvail(id int) statusq.ShardHealth
 }
 
+// handleFleet is GET /fleet: every ongoing avail, fanned out. One
+// explained answer renders both a row's query result and its prediction
+// columns, so each row extracts features once.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	at, err := domain.ParseDay(r.URL.Query().Get("date"))
 	if err != nil {
 		s.writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ah, _ := s.catalog.(availHealth)
 	ids := s.catalog.OngoingIDs()
+	answers, errs := make([]*answer, len(ids)), make([]string, len(ids))
+	s.fanOut(len(ids), func(i int) {
+		ans, err := s.answerOne(r.Context(), ids[i], at, s.alpha, true)
+		if err != nil {
+			errs[i] = err.Error()
+		}
+		answers[i] = ans
+	})
+	traceRows(r.Context(), answers, errs)
+	ah, _ := s.catalog.(availHealth)
 	rows := make([]fleetRow, len(ids)) // non-nil: no ongoing avails encodes []
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
 	for i, id := range ids {
-		rows[i].AvailID = id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Resolve the engine once and share it between the query
-			// render and the prediction annotation, so the model answer
-			// describes exactly the history the estimates were served from.
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			eng, asOf, stale, err := s.catalog.EngineAsOf(id)
-			if err != nil {
-				rows[i].Error = err.Error()
+		rows[i] = fleetRow{AvailID: id, Error: errs[i]}
+		if ans := answers[i]; ans != nil {
+			rows[i].Result = ans.queryView()
+			if p := ans.pred; p == nil {
+				rows[i].PredictionUnavailable = true
 			} else {
-				view, err := s.renderQuery(eng, asOf, stale, at)
-				if err != nil {
-					rows[i].Error = err.Error()
-				} else {
-					rows[i].Result = view
-					s.annotatePrediction(&rows[i], eng, at)
-				}
-			}
-			if ah != nil && ah.HealthForAvail(id) != statusq.ShardHealthy {
-				rows[i].Degraded = true
-			}
-		}()
-	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		stale, failed, unavailable := 0, 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.Stale {
-				stale++
-			}
-			if rows[i].PredictionUnavailable {
-				unavailable++
+				rows[i].PredictedDelay, rows[i].BandLo, rows[i].BandHi = &p.Delay, &p.Lo, &p.Hi
+				rows[i].ModelVersion, rows[i].WindowFallback = p.Version, p.WindowFallback
 			}
 		}
-		sp.SetInt("rows", int64(len(rows)))
-		sp.SetInt("staleRows", int64(stale))
-		sp.SetInt("failedRows", int64(failed))
-		sp.SetInt("unavailablePredictions", int64(unavailable))
+		if ah != nil && ah.HealthForAvail(id) != statusq.ShardHealthy {
+			rows[i].Degraded = true
+		}
 	}
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 
-// annotatePrediction folds the model registry's answer into a fleet row:
-// predicted delay, conformal band, and model version — or
-// prediction_unavailable when no registry serves, the registry is empty,
-// or the model fails. Never an error: fleet reads stay 200 (the PR-4
-// degraded-answer contract).
-func (s *Server) annotatePrediction(row *fleetRow, eng *statusq.Engine, at domain.Day) {
-	if s.models == nil {
-		row.PredictionUnavailable = true
-		mPredictUnavailable.Inc()
-		return
-	}
-	pred, err := s.models.Predict(eng, at, s.alpha)
-	if err != nil {
-		row.PredictionUnavailable = true
-		mPredictUnavailable.Inc()
-		return
-	}
-	row.PredictedDelay = &pred.Delay
-	row.BandLo = &pred.Lo
-	row.BandHi = &pred.Hi
-	row.ModelVersion = pred.Version
-	row.WindowFallback = pred.WindowFallback
-}
-
-// MaxBatchQueries caps one POST /query/batch request; beyond it the batch
-// is rejected with 422 rather than silently truncated.
+// MaxBatchQueries caps one POST /query/batch or POST /predict request;
+// beyond it the batch is rejected with 422 rather than silently truncated.
 const MaxBatchQueries = 256
 
 // batchIn is the POST /query/batch request body.
@@ -847,41 +913,47 @@ type batchRow struct {
 	Error   string     `json:"error,omitempty"`
 }
 
-// handleQueryBatch answers many DoMD queries in one request. The point is
-// amortization on warm paths: the catalog engine lookup (and any rebuild it
-// triggers) happens once per distinct avail in the batch, and the
-// evaluations then fan out with the same bounded parallelism and per-row
-// error isolation as /fleet. Status contract: 400 malformed body or empty
-// batch, 413 oversized body, 422 more than MaxBatchQueries entries, 200
-// otherwise with per-row errors inline.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var in batchIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
+// decodeBody strictly decodes a JSON request body into in (unknown fields
+// rejected). On failure it writes 413 for an oversized body or 400 for a
+// malformed one and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, in any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	if err := dec.Decode(in); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
+			return false
 		}
 		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
-		return
+		return false
 	}
-	if len(in.Queries) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("empty batch: provide at least one query"))
-		return
-	}
-	if len(in.Queries) > MaxBatchQueries {
-		s.writeErr(w, r, http.StatusUnprocessableEntity,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(in.Queries), MaxBatchQueries))
-		return
-	}
+	return true
+}
 
-	// Resolve each distinct avail's engine exactly once. Resolution is
-	// sequential on purpose: builds are single-flight per avail anyway, and
-	// a warm batch resolves from cache without ever blocking.
+// checkBatchSize enforces the batch size contract: 400 for an empty
+// batch, 422 beyond MaxBatchQueries.
+func (s *Server) checkBatchSize(w http.ResponseWriter, r *http.Request, n int) bool {
+	switch {
+	case n == 0:
+		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("empty batch: provide at least one query"))
+		return false
+	case n > MaxBatchQueries:
+		s.writeErr(w, r, http.StatusUnprocessableEntity,
+			fmt.Errorf("batch of %d queries exceeds the limit of %d", n, MaxBatchQueries))
+		return false
+	}
+	return true
+}
+
+// answerBatch answers every query of a batch. The point is amortization
+// on warm paths: each distinct avail's engine is resolved once —
+// sequentially, since builds are single-flight per avail anyway and a
+// warm batch resolves from cache without blocking — and the evaluations
+// then fan out with the same bounded parallelism and per-row error
+// isolation as /fleet. errs[i] != "" marks query i failed.
+func (s *Server) answerBatch(ctx context.Context, queries []batchQueryIn, alpha float64, explain bool) ([]*answer, []string) {
 	type resolved struct {
 		eng   *statusq.Engine
 		asOf  int64
@@ -889,61 +961,54 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	engines := make(map[int]*resolved)
-	for _, q := range in.Queries {
-		if _, ok := engines[q.Avail]; ok {
-			continue
+	for _, q := range queries {
+		if _, ok := engines[q.Avail]; !ok {
+			res := &resolved{}
+			res.eng, res.asOf, res.stale, res.err = s.catalog.EngineAsOf(q.Avail)
+			engines[q.Avail] = res
 		}
-		res := &resolved{}
-		res.eng, res.asOf, res.stale, res.err = s.catalog.EngineAsOf(q.Avail)
-		engines[q.Avail] = res
 	}
-
-	rows := make([]batchRow, len(in.Queries))
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
-	for i, q := range in.Queries {
-		rows[i].AvailID = q.Avail
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			at, err := domain.ParseDay(q.Date)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			res := engines[q.Avail]
-			if res.err != nil {
-				rows[i].Error = res.err.Error()
-				return
-			}
-			view, err := s.renderQuery(res.eng, res.asOf, res.stale, at)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].Result = view
-		}()
-	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		stale, failed := 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.Stale {
-				stale++
-			}
+	answers, errs := make([]*answer, len(queries)), make([]string, len(queries))
+	s.fanOut(len(queries), func(i int) {
+		q := queries[i]
+		at, err := domain.ParseDay(q.Date)
+		res := engines[q.Avail]
+		switch {
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		case err != nil:
+		case res.err != nil:
+			err = res.err
+		default:
+			answers[i], err = s.answerOn(res.eng, res.asOf, res.stale, at, alpha, explain)
 		}
-		sp.SetInt("rows", int64(len(rows)))
+		if err != nil {
+			errs[i] = err.Error()
+		}
+	})
+	traceRows(ctx, answers, errs)
+	if sp := obs.FromContext(ctx); sp != nil {
 		sp.SetInt("avails", int64(len(engines)))
-		sp.SetInt("staleRows", int64(stale))
-		sp.SetInt("failedRows", int64(failed))
+	}
+	return answers, errs
+}
+
+// handleQueryBatch is POST /query/batch: many DoMD queries in one request
+// (see answerBatch). Status contract: 400 malformed body or empty batch,
+// 413 oversized body, 422 more than MaxBatchQueries entries, 200
+// otherwise with per-row errors inline.
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	var in batchIn
+	if !s.decodeBody(w, r, &in) || !s.checkBatchSize(w, r, len(in.Queries)) {
+		return
+	}
+	answers, errs := s.answerBatch(r.Context(), in.Queries, s.alpha, true)
+	rows := make([]batchRow, len(in.Queries))
+	for i, q := range in.Queries {
+		rows[i] = batchRow{AvailID: q.Avail, Error: errs[i]}
+		if answers[i] != nil {
+			rows[i].Result = answers[i].queryView()
+		}
 	}
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
@@ -978,17 +1043,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in rccIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+	if !s.decodeBody(w, r, &in) {
 		return
 	}
 

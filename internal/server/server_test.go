@@ -11,62 +11,27 @@ import (
 	"net/url"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
-	"domd/internal/core"
 	"domd/internal/domain"
-	"domd/internal/features"
-	"domd/internal/fusion"
 	"domd/internal/index"
-	"domd/internal/ml/gbt"
 	"domd/internal/navsim"
-	"domd/internal/split"
 	"domd/internal/statusq"
 )
 
-// trainTestPipeline trains one small pipeline per test binary; the trained
-// pipeline and extractor are read-only and shared by every test server.
-var trainTestPipeline = sync.OnceValues(func() (*core.Pipeline, *features.Extractor) {
-	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
-	if err != nil {
-		panic(err)
-	}
-	ext := features.NewExtractor()
-	tensor, err := features.BuildTensor(ext, ds.Avails, ds.RCCsByAvail(), 25, index.KindAVL)
-	if err != nil {
-		panic(err)
-	}
-	sp, err := split.Make(split.DefaultConfig(), tensor.Avails)
-	if err != nil {
-		panic(err)
-	}
-	cfg := core.BaselineConfig()
-	cfg.Fusion = fusion.MethodAverage
-	p := gbt.DefaultParams()
-	p.NumRounds = 15
-	p.LearningRate = 0.3
-	cfg.GBTParams = &p
-	pipe, err := core.Train(cfg, tensor, sp.Train, sp.Val)
-	if err != nil {
-		panic(err)
-	}
-	return pipe, ext
-})
-
-// newTestServer trains a small pipeline and serves the dataset's fleet.
+// newTestServer serves the dataset's fleet from a registry holding the
+// shared trained model version.
 func newTestServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *statusq.Catalog) {
 	t.Helper()
 	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{}))
+	srv := httptest.NewServer(New(newTestRegistry(t), catalog, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, catalog
 }
@@ -253,13 +218,12 @@ func rawBody(t *testing.T, url string, wantStatus int) string {
 // on an empty catalog and /fleet with no ongoing avails must encode [] —
 // JSON clients treat null and [] very differently.
 func TestEmptyCollectionsEncodeAsArrays(t *testing.T) {
-	pipe, ext := trainTestPipeline()
 
 	empty, err := statusq.NewCatalog(nil, nil, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(pipe, ext, empty, Options{}))
+	srv := httptest.NewServer(New(newTestRegistry(t), empty, Options{}))
 	defer srv.Close()
 	if body := rawBody(t, srv.URL+"/avails", http.StatusOK); body != "[]" {
 		t.Errorf("/avails on empty catalog = %q, want []", body)
@@ -277,7 +241,7 @@ func TestEmptyCollectionsEncodeAsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(New(pipe, ext, closedOnly, Options{}))
+	srv2 := httptest.NewServer(New(newTestRegistry(t), closedOnly, Options{}))
 	defer srv2.Close()
 	if body := rawBody(t, srv2.URL+"/fleet?date=2023-01-01", http.StatusOK); body != "[]" {
 		t.Errorf("/fleet over closed-only catalog = %q, want []", body)
@@ -459,9 +423,9 @@ func TestQueryBatch(t *testing.T) {
 	if rows[0].Error != "" || rows[0].Result == nil {
 		t.Fatalf("row 0 failed: %+v", rows[0])
 	}
-	if rows[0].Result.FinalDays != single.FinalDays || rows[0].Result.AsOf != single.AsOf {
+	if *rows[0].Result.FinalDays != *single.FinalDays || rows[0].Result.AsOf != single.AsOf {
 		t.Errorf("batch row 0 = (%v, asOf %d), single query = (%v, asOf %d)",
-			rows[0].Result.FinalDays, rows[0].Result.AsOf, single.FinalDays, single.AsOf)
+			*rows[0].Result.FinalDays, rows[0].Result.AsOf, *single.FinalDays, single.AsOf)
 	}
 	// Rows 1 and 4 succeed; rows 2, 3, and 5 fail alone.
 	for _, i := range []int{1, 4} {
@@ -486,13 +450,12 @@ func TestQueryBatch(t *testing.T) {
 // duration (the grammar docs/OPERATIONS.md documents for incident
 // diagnosis), with the raw URI attached when it differs from the route.
 func TestRequestLogging(t *testing.T) {
-	pipe, ext := trainTestPipeline()
 	catalog, err := statusq.NewCatalog(nil, nil, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{Logger: log.New(&buf, "", 0)}))
+	srv := httptest.NewServer(New(newTestRegistry(t), catalog, Options{Logger: log.New(&buf, "", 0)}))
 	defer srv.Close()
 	rawBody(t, srv.URL+"/avails", http.StatusOK)
 	rawBody(t, srv.URL+"/query?avail=junk&date=x", http.StatusBadRequest)

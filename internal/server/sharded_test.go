@@ -27,14 +27,13 @@ func newShardedServer(t *testing.T, root string) (*httptest.Server, *navsim.Data
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	sc, _, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sc.Close() })
-	srv := httptest.NewServer(New(pipe, ext, sc, Options{}))
+	srv := httptest.NewServer(New(newTestRegistry(t), sc, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, sc
 }
@@ -237,7 +236,6 @@ func TestChaosShardedKillMidIngest(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pipe, ext := trainTestPipeline()
 	sc2, info, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
@@ -255,7 +253,7 @@ func TestChaosShardedKillMidIngest(t *testing.T) {
 	}
 
 	// Retries of the acknowledged records dedup on their own shards.
-	srv2 := httptest.NewServer(New(pipe, ext, sc2, Options{}))
+	srv2 := httptest.NewServer(New(newTestRegistry(t), sc2, Options{}))
 	defer srv2.Close()
 	for i, av := range []domain.Avail{a, b} {
 		status, _, out := postJSON(t, srv2.URL+"/rccs", rccBody(990001+i, av), nil)
@@ -295,7 +293,7 @@ func TestShardedQueryRouting(t *testing.T) {
 		if got == nil {
 			t.Fatalf("batch row %d errored: %s", i, rows[i].Error)
 		}
-		if got.FinalDays != want.FinalDays || got.AvailID != want.AvailID {
+		if *got.FinalDays != *want.FinalDays || got.AvailID != want.AvailID {
 			t.Fatalf("batch row %d = %+v, want single-query answer %+v", i, got, want)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"domd/internal/domain"
 	"domd/internal/index"
 	"domd/internal/obs"
+	"domd/internal/wal"
 )
 
 // ringReplicas is the number of virtual points each shard places on the
@@ -278,12 +279,8 @@ func pinTopology(root string, shards, walReplicas int) error {
 		if merr != nil {
 			return fmt.Errorf("statusq: encode topology: %w", merr)
 		}
-		tmp := path + ".tmp"
-		if werr := os.WriteFile(tmp, raw, 0o644); werr != nil {
-			return fmt.Errorf("statusq: write topology: %w", werr)
-		}
-		if rerr := os.Rename(tmp, path); rerr != nil {
-			return fmt.Errorf("statusq: pin topology: %w", rerr)
+		if werr := wal.WriteFileAtomic(path, raw); werr != nil {
+			return fmt.Errorf("statusq: pin topology: %w", werr)
 		}
 		return nil
 	default:

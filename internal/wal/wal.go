@@ -65,9 +65,8 @@ const (
 )
 
 const (
-	logName      = "wal.log"
-	snapName     = "snapshot.wal"
-	snapTempName = "snapshot.wal.tmp"
+	logName  = "wal.log"
+	snapName = "snapshot.wal"
 )
 
 // castagnoli is the CRC-32C table; Castagnoli detects short bursts
@@ -434,15 +433,8 @@ func (l *Log) snapshotLocked(payload []byte, seq uint64) (err error) {
 	if err := faultinject.Fire(FailSnapshotWrite); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
-	tmp := filepath.Join(l.dir, snapTempName)
-	if err := writeFileSync(tmp, line); err != nil {
+	if err := WriteFileAtomic(filepath.Join(l.dir, snapName), line); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
 	}
 	// Snapshot is durable: drop the folded-in log records. Reopen with
 	// O_TRUNC rather than truncating the shared descriptor so the append
@@ -576,13 +568,30 @@ func (l *Log) Reset() error {
 	return nil
 }
 
-// writeFileSync writes b to path and fsyncs it before closing.
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// WriteFileAtomic durably replaces path with data: it writes a temp
+// file with a unique name in path's directory, fsyncs and closes it,
+// renames it over path, and fsyncs the directory so the rename survives
+// a crash. Readers see the old file or the new one, never a torn one,
+// and concurrent writers of the same path never share a temp file: the
+// last rename wins whole. On failure the temp file is removed and path
+// is unchanged.
+func WriteFileAtomic(path string, data []byte) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	tmp := f.Name()
+	defer func() {
+		if err != nil {
+			os.Remove(tmp) //lint:ignore droppederr best-effort cleanup; the write error is what the caller needs
+		}
+	}()
+	if _, err := f.Write(data); err != nil {
+		f.Close() //lint:ignore droppederr best-effort close on an already-failing path
+		return err
+	}
+	if err := f.Chmod(0o644); err != nil {
 		f.Close() //lint:ignore droppederr best-effort close on an already-failing path
 		return err
 	}
@@ -590,7 +599,13 @@ func writeFileSync(path string, b []byte) error {
 		f.Close() //lint:ignore droppederr best-effort close on an already-failing path
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

@@ -5,7 +5,7 @@
 # machine-checkable facts from the sources and greps for each in the doc:
 #
 #   1. every endpoint row of server.Endpoints() ("METHOD /path"),
-#   2. every `domd serve` flag (runServe plus the shared addCommon set),
+#   2. every `domd serve` flag (as `domd serve -h` lists them),
 #   3. every faultinject failpoint name,
 #   4. the README link to the operations doc,
 #   5. every served path and every `domd` subcommand in README.md — the
@@ -17,8 +17,8 @@
 # enforces both directions (undocumented metric, stale doc row) with
 # file:line findings — `make docs` runs it alongside this script.
 #
-# Run via `make docs` (part of `make check`). Stdlib-shell only: POSIX
-# sh, grep, sed, awk.
+# Run via `make docs` (part of `make check`). POSIX sh, grep, sed, awk,
+# plus `go run` for the serve flag list.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,14 +38,11 @@ for e in $(printf '%s\n' "$endpoints" | tr ' ' '~'); do
 	fi
 done
 
-# 2. Serve flags: names declared inside runServe, plus the common set.
-serve_flags=$(awk '/^func runServe\(/,/^}/' cmd/domd/main.go |
-	sed -n 's/.*fs\.[A-Za-z0-9]*("\([a-z-]*\)".*/\1/p')
-common_flags=$(awk '/^func addCommon\(/,/^}/' cmd/domd/main.go |
-	sed -n 's/.*fs\.[A-Za-z0-9]*Var(&[^,]*, "\([a-z-]*\)".*/\1/p')
-[ -n "$serve_flags" ] || { echo "check_docs: extracted no serve flags from cmd/domd/main.go"; exit 1; }
-[ -n "$common_flags" ] || { echo "check_docs: extracted no common flags from cmd/domd/main.go"; exit 1; }
-for f in $serve_flags $common_flags; do
+# 2. Serve flags: every flag `domd serve -h` prints, i.e. exactly the
+# flag set the binary registers for serve.
+serve_flags=$(go run ./cmd/domd serve -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p')
+[ -n "$serve_flags" ] || { echo "check_docs: extracted no serve flags from domd serve -h"; exit 1; }
+for f in $serve_flags; do
 	if ! grep -q -- "\`-$f\`" "$DOC"; then
 		echo "check_docs: serve flag -$f not documented in $DOC"
 		fail=1
