@@ -23,12 +23,13 @@ race:
 
 # stress repeats the concurrent-serving suite (parallel /query + /fleet +
 # AddRCC over httptest, the /predict-under-hot-swap gate
-# TestConcurrentPredictHotSwap, plus the catalog and index concurrency
-# gates) under the race detector.
+# TestConcurrentPredictHotSwap, the ingest-while-reading provenance gate
+# TestConcurrentIngestProvenance, plus the catalog, index and
+# feature-trajectory concurrency gates) under the race detector.
 stress:
 	$(GO) test -race -count $(STRESS_COUNT) -timeout $(STRESS_TIMEOUT) \
 		-run 'Concurrent|SingleFlight|CachedEngine' \
-		./internal/server/ ./internal/statusq/ ./internal/index/
+		./internal/server/ ./internal/statusq/ ./internal/index/ ./internal/features/
 
 # chaos runs the fault-injection and crash-recovery suites under the race
 # detector: WAL torn-tail/replay recovery, kill-mid-ingest restart proofs
@@ -85,9 +86,16 @@ docs:
 # catalog fed the same stream. The one-model-path suite: /query,
 # /query/batch, /fleet and /predict serve the same delay on a single and
 # a 4-shard catalog (TestOnePathDifferential), and Registry.Predict
-# matches the reference prediction loop (TestPredictMatchesReferenceLoop).
+# matches the reference prediction loop (TestPredictMatchesReferenceLoop),
+# also on a live engine taking a random ingest stream
+# (TestPredictMatchesReferenceLoopUnderIngest). The feature-trajectory
+# suite: every vector the per-engine trajectory cache serves equals
+# Extractor.Vector over an engine freshly built at the revision it
+# reports, across in-order, back-dated and same-day ingest streams
+# (TestTrajectory*).
 differential:
 	$(GO) test -race -count 1 -run 'TestDelta' ./internal/statusq/
+	$(GO) test -race -count 1 -run 'TestTrajectory' ./internal/features/
 	$(GO) test -race -count 1 -run 'TestOnePathDifferential' ./internal/server/
 	$(GO) test -race -count 1 -run 'TestPredictMatchesReferenceLoop' ./internal/modelserve/
 
@@ -107,7 +115,9 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && $(MAKE) perfbench
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then the loadgen
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3 and BenchmarkWalkEngine,
+# the serving walk's trajectory-cache hit, cold fill and back-dated
+# ingest), then the loadgen
 # harness, which rewrites BENCH_6.json from a live served workload, the
 # shard-scaling scenario, which rewrites BENCH_7.json from a
 # fsync-per-ack sweep of 1..8 shards (powers of two), and the

@@ -565,6 +565,119 @@ func BenchmarkDynamicVectorInto(b *testing.B) {
 	}
 }
 
+// walkPipeline caches a small gap-10 pipeline for BenchmarkWalkEngine:
+// the walk's cost is its feature vectors, so a cheap model suffices.
+var walkPipeline = sync.OnceValues(func() (*core.Pipeline, error) {
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 0, MeanRCCsPerAvail: 40, Seed: 12})
+	if err != nil {
+		return nil, err
+	}
+	tensor, err := features.BuildTensor(features.NewExtractor(), ds.Avails, ds.RCCsByAvail(), 10, index.KindAVL)
+	if err != nil {
+		return nil, err
+	}
+	n := len(tensor.Avails)
+	var train, val []int
+	for i := 0; i < n; i++ {
+		if i%4 == 0 {
+			val = append(val, i)
+		} else {
+			train = append(train, i)
+		}
+	}
+	cfg := core.BaselineConfig()
+	p := gbt.DefaultParams()
+	p.NumRounds = 10
+	cfg.GBTParams = &p
+	return core.Train(cfg, tensor, train, val)
+})
+
+// BenchmarkWalkEngine times core.WalkEngine over the full 11-point gap-10
+// grid (t* = 100) on one avail of n RCCs, with allocations:
+//
+//   - scratch: the walk without the trajectory cache, Extractor.Vector at
+//     every grid point (the reference path), for comparison;
+//   - hit: the engine's trajectory is current, so the walk reads it;
+//   - cold: a fresh engine, so the walk runs one CellSweep over the grid;
+//   - backdated: the first walk after one ingest created mid-avail, which
+//     drops the cached trajectory and sweeps the grid again.
+//
+// Engines for cold and backdated are prepared with the timer stopped.
+func BenchmarkWalkEngine(b *testing.B) {
+	pipe, err := walkPipeline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := features.NewExtractor()
+	grid := pipe.Timestamps()
+	newEngine := func(a *domain.Avail, rccs []domain.RCC) *statusq.Engine {
+		eng, err := statusq.NewEngine(a, append([]domain.RCC(nil), rccs...), index.KindAVL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	walk := func(eng *statusq.Engine) {
+		if _, err := core.WalkEngine(pipe, ext, eng, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, n := range []int{1_000, 2_000} {
+		a, rccs := bigAvailFixture(b, n)
+		b.Run(fmt.Sprintf("scratch/n=%d", n), func(b *testing.B) {
+			eng := newEngine(a, rccs)
+			fulls := make([][]float64, len(grid))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, ts := range grid {
+					if fulls[k], err = ext.Vector(eng, ts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, _, err := pipe.Trajectory(fulls, len(grid)-1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("hit/n=%d", n), func(b *testing.B) {
+			eng := newEngine(a, rccs)
+			walk(eng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk(eng)
+			}
+		})
+		b.Run(fmt.Sprintf("cold/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := newEngine(a, rccs)
+				b.StartTimer()
+				walk(eng)
+			}
+		})
+		b.Run(fmt.Sprintf("backdated/n=%d", n), func(b *testing.B) {
+			late := rccs[0]
+			late.ID = n + 1
+			late.Created = a.PhysicalTime(50)
+			late.Settled = late.Created + 30
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := newEngine(a, rccs)
+				walk(eng)
+				if err := eng.ApplyRCC(late); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				walk(eng)
+			}
+		})
+	}
+}
+
 func BenchmarkGBTFit(b *testing.B) {
 	w := benchWorkload(b)
 	slice := w.Tensor.Slices[0].Subset(w.Splits.Train)

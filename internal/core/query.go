@@ -111,17 +111,23 @@ type Walk struct {
 	// Upto indexes the last slot walked: the latest grid timestamp at or
 	// before t*, or slot 0 when t* precedes the whole grid.
 	Upto int
-	// Grid holds the walked timestamps, Fulls the feature vector at each,
-	// and Raw and Fused the estimates (see Pipeline.Trajectory); all have
-	// Upto+1 entries.
+	// Grid holds the walked timestamps, Fulls the feature vector at each
+	// (shared with the engine's trajectory cache: read-only), and Raw and
+	// Fused the estimates (see Pipeline.Trajectory); all have Upto+1
+	// entries.
 	Grid       []float64
 	Fulls      [][]float64
 	Raw, Fused []float64
+	// AsOf is the engine revision (RCCs folded in) every vector of the
+	// walk was computed at: one revision, even when ingests land
+	// mid-walk.
+	AsOf int64
 }
 
 // WalkEngine walks pipeline p's grid over a Status Query engine up to
-// logical time ts: it extracts the feature vector at every slot up to
-// ts and runs the trajectory through them. The engine is only read.
+// logical time ts: it reads the feature vector at every slot up to ts
+// from the engine's cached trajectory (features.Extractor.Trajectory)
+// and runs the trajectory through them. The engine is only read.
 func WalkEngine(p *Pipeline, ext *features.Extractor, eng *statusq.Engine, ts float64) (*Walk, error) {
 	grid := p.Timestamps()
 	upto := 0
@@ -130,12 +136,10 @@ func WalkEngine(p *Pipeline, ext *features.Extractor, eng *statusq.Engine, ts fl
 			upto = k
 		}
 	}
-	w := &Walk{pipe: p, Upto: upto, Grid: grid[:upto+1], Fulls: make([][]float64, upto+1)}
+	w := &Walk{pipe: p, Upto: upto, Grid: grid[:upto+1]}
 	var err error
-	for k := 0; k <= upto; k++ {
-		if w.Fulls[k], err = ext.Vector(eng, grid[k]); err != nil {
-			return nil, err
-		}
+	if w.Fulls, w.AsOf, err = ext.Trajectory(eng, w.Grid); err != nil {
+		return nil, err
 	}
 	if w.Raw, w.Fused, err = p.Trajectory(w.Fulls, upto); err != nil {
 		return nil, err

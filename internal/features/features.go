@@ -227,6 +227,11 @@ func (e *Extractor) DynamicVector(eng *statusq.Engine, ts float64) ([]float64, e
 }
 
 // Vector concatenates static and dynamic features for one avail at ts.
+// It is the from-scratch reference path: every call retrieves and sorts
+// the qualifying RCCs through the engine's index and allocates its own
+// vector, so any timestamp can be asked in any order. Serving reads the
+// same vectors from the engine's cached trajectory instead (Trajectory),
+// which the differential tests hold bitwise equal to this function.
 func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	dyn, err := e.DynamicVector(eng, ts)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"domd/internal/domain"
 	"domd/internal/features"
+	"domd/internal/index"
 	"domd/internal/statusq"
 )
 
@@ -57,6 +59,7 @@ func referencePredict(r *Registry, eng *statusq.Engine, at domain.Day, alpha flo
 	return &Prediction{
 		Delay: mid, Lo: lo, Hi: hi, Alpha: alpha,
 		Version: v.name, Window: m.window, WindowFallback: fallback,
+		AsOf: int64(eng.NumRCCs()),
 	}, nil
 }
 
@@ -119,6 +122,85 @@ func TestPredictMatchesReferenceLoop(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no ongoing avail checked")
+	}
+}
+
+// TestPredictMatchesReferenceLoopUnderIngest is the trajectory-cache
+// proof at the model layer: one live engine takes a random ingest stream
+// through ApplyRCC (in order, back-dated, and created and settled on one
+// grid day), and after every ingest Predict and Explain in both windows,
+// on their shared boundary and past plan answer bitwise what the
+// reference loop answers over an engine freshly built from the same
+// history, with AsOf naming that history's length.
+func TestPredictMatchesReferenceLoopUnderIngest(t *testing.T) {
+	fx := mustFixture(t)
+	tv := trainTestVersion(t, 1, "v001")
+	dir := t.TempDir()
+	if _, err := tv.WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ongoingAvail(t, fx)
+	hist := append([]domain.RCC(nil), fx.ds.RCCsByAvail()[a.ID]...)
+	eng, err := statusq.NewEngine(a, append([]domain.RCC(nil), hist...), index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	plan := a.PlannedDuration()
+	latest := a.ActStart
+	for _, r := range hist {
+		if r.Created > latest {
+			latest = r.Created
+		}
+	}
+	for i := 0; i <= 30; i++ {
+		if i > 0 {
+			var created, settled domain.Day
+			switch i % 3 {
+			case 0: // in order
+				latest += domain.Day(rng.Intn(5))
+				created, settled = latest, latest+domain.Day(rng.Intn(60))
+			case 1: // back-dated
+				created = a.ActStart + domain.Day(rng.Intn(plan))
+				settled = created + domain.Day(rng.Intn(60))
+			case 2: // same day, on a grid day
+				created = a.PhysicalTime(float64(25 * rng.Intn(5)))
+				settled = created
+			}
+			r := domain.RCC{ID: 1_000_000 + i, AvailID: a.ID,
+				Type: domain.RCCType(rng.Intn(domain.NumRCCTypes)), SWLIN: rng.Intn(100_000_000),
+				Created: created, Settled: settled, Amount: math.Trunc(rng.Float64()*1e6) / 100}
+			if err := eng.ApplyRCC(r); err != nil {
+				t.Fatal(err)
+			}
+			hist = append(hist, r)
+		}
+		fresh, err := statusq.NewEngine(a, hist, index.KindAVL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range []float64{10, 50, 75, 130} {
+			at := a.PhysicalTime(ts)
+			want, err := referencePredict(reg, fresh, at, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reg.Predict(eng, at, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, _, err := reg.Explain(eng, at, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want || *pred != *want || got.AsOf != int64(len(hist)) {
+				t.Fatalf("ingest %d t*=%g: Predict %+v, Explain %+v, reference %+v", i, ts, got, pred, want)
+			}
+		}
 	}
 }
 

@@ -291,6 +291,9 @@ type Prediction struct {
 	Version        string
 	Window         Window
 	WindowFallback bool
+	// AsOf is the engine revision (RCCs folded in) the estimate was
+	// computed from.
+	AsOf int64
 }
 
 // Explanation is what a DoMD query answer shows beyond its Prediction:
@@ -348,6 +351,7 @@ func (r *Registry) predict(eng *statusq.Engine, at domain.Day, alpha float64, ex
 	pred := &Prediction{
 		Delay: mid, Lo: lo, Hi: hi, Alpha: alpha,
 		Version: v.name, Window: m.window, WindowFallback: fallback,
+		AsOf: w.AsOf,
 	}
 	var expl *Explanation
 	if explain {

@@ -52,10 +52,14 @@
 // # Degraded answers
 //
 // Every /query response and /fleet row carries "stale" and "asOf": asOf
-// is the revision of the answering engine, counted as the number of RCCs
-// of that avail folded into it, and "stale": true marks an answer served
-// from the last good engine because the current rebuild failed (or an
-// ingest landed mid-query). Clients that must not act on degraded data
+// is the revision of the history the estimate was computed from, counted
+// as the number of RCCs of that avail folded into the answering engine
+// (one revision per answer, even when an ingest lands mid-walk), and
+// "stale": true marks an answer served from the last good engine because
+// the current rebuild failed (or an ingest landed mid-query). stale is
+// decided when the engine is resolved, before the walk: an ingest that
+// reaches the engine during the walk can leave stale: true beside an asOf
+// that already counts it. Clients that must not act on degraded data
 // check "stale"; everyone else gets availability instead of a 5xx.
 //
 // # Middleware and observability
@@ -656,9 +660,12 @@ type answer struct {
 }
 
 // answerOn evaluates one avail at one date against an already-resolved
-// engine. Date/avail problems (not started, invalid t*) are errors — the
-// request itself is unanswerable. Model problems are not: they leave the
-// answer prediction_unavailable. explain selects Registry.Explain (the
+// engine; asOf is the engine's revision as resolved, replaced by the
+// revision the model's walk read when there is an estimate, and stale is
+// kept as resolved. Date/avail
+// problems (not started, invalid t*) are errors — the request itself is
+// unanswerable. Model problems are not: they leave the answer
+// prediction_unavailable. explain selects Registry.Explain (the
 // trajectory and top drivers a query view shows) over Registry.Predict.
 func (s *Server) answerOn(eng *statusq.Engine, asOf int64, stale bool, at domain.Day, alpha float64, explain bool) (*answer, error) {
 	a := eng.Avail()
@@ -678,7 +685,11 @@ func (s *Server) answerOn(eng *statusq.Engine, asOf int64, stale bool, at domain
 	if err != nil {
 		ans.pred, ans.reason = nil, err.Error()
 		mPredictUnavailable.Inc()
+		return ans, nil
 	}
+	// The walk read one trajectory snapshot; its revision, not the one
+	// resolved before the walk, is the history the estimate came from.
+	ans.asOf = ans.pred.AsOf
 	return ans, nil
 }
 

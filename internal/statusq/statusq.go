@@ -49,6 +49,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"domd/internal/domain"
 	"domd/internal/index"
@@ -122,6 +123,11 @@ type Engine struct {
 	avail *domain.Avail
 	mu    sync.RWMutex // guards view
 	view  engineView
+	// rev is len(view.rccs), republished after every ApplyRCC so
+	// NumRCCs reads it without taking mu.
+	rev atomic.Int64
+	// memo is the opaque derived-state slot behind Memo.
+	memo atomic.Value
 }
 
 // engineView is the engine's indexed state: the RCC slice plus the three
@@ -171,6 +177,7 @@ func NewEngine(a *domain.Avail, rccs []domain.RCC, kind index.Kind) (*Engine, er
 			return nil, err
 		}
 	}
+	e.rev.Store(int64(len(rccs)))
 	return e, nil
 }
 
@@ -186,11 +193,33 @@ func (e *Engine) LogicalTime(at domain.Day) (float64, error) {
 	return e.avail.LogicalTime(at)
 }
 
-// NumRCCs reports the indexed RCC count.
-func (e *Engine) NumRCCs() int {
+// NumRCCs reports the indexed RCC count: the engine's history revision.
+// It only grows, one per ApplyRCC, and is read without locking.
+func (e *Engine) NumRCCs() int { return int(e.rev.Load()) }
+
+// History returns the engine's RCCs in position order. The history is
+// append-only, and the slice is capped at its length, so it stays a
+// valid read-only snapshot of revision len(rccs) however many RCCs
+// ApplyRCC folds in afterwards. Do not mutate.
+func (e *Engine) History() []domain.RCC {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.view.rccs)
+	n := len(e.view.rccs)
+	return e.view.rccs[:n:n]
+}
+
+// Memo returns the engine's opaque derived-state slot, storing mk() in it
+// on first use; concurrent first callers race and all receive the one
+// value that won. statusq never reads the value: it lets a cache derived
+// from the engine (the feature trajectory of package features) live and
+// die with it, so a rebuilt engine starts with an empty slot. Every
+// caller must store the same concrete type.
+func (e *Engine) Memo(mk func() any) any {
+	if v := e.memo.Load(); v != nil {
+		return v
+	}
+	e.memo.CompareAndSwap(nil, mk())
+	return e.memo.Load()
 }
 
 // ApplyRCC folds one freshly ingested RCC into the engine's existing
@@ -225,6 +254,7 @@ func (e *Engine) ApplyRCC(r domain.RCC) error {
 	}
 	v.rccs = append(v.rccs, r)
 	v.typeGroups[r.Type] = append(v.typeGroups[r.Type], pos)
+	e.rev.Store(int64(len(v.rccs)))
 	return nil
 }
 
