@@ -92,12 +92,17 @@ docs:
 # suite: every vector the per-engine trajectory cache serves equals
 # Extractor.Vector over an engine freshly built at the revision it
 # reports, across in-order, back-dated and same-day ingest streams
-# (TestTrajectory*).
+# (TestTrajectory*). The presorted exact split search: every tree.Build
+# node (Feature, Threshold, Gain, Weight) equals a per-node-sort reference
+# on tie-heavy random matrices (TestBuildMatchesReference), and gbt.Fit
+# predicts bitwise like a booster grown on that reference
+# (TestFitMatchesReference).
 differential:
 	$(GO) test -race -count 1 -run 'TestDelta' ./internal/statusq/
 	$(GO) test -race -count 1 -run 'TestTrajectory' ./internal/features/
 	$(GO) test -race -count 1 -run 'TestOnePathDifferential' ./internal/server/
 	$(GO) test -race -count 1 -run 'TestPredictMatchesReferenceLoop' ./internal/modelserve/
+	$(GO) test -race -count 1 -run 'TestBuildMatchesReference|TestFitMatchesReference' ./internal/ml/tree/ ./internal/ml/gbt/
 
 # perfbench vets and short-tests the benchmark module, a nested Go module
 # (perfbench/go.mod) that `go build ./...` at the root skips but that
@@ -115,9 +120,10 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && $(MAKE) perfbench
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3 and BenchmarkWalkEngine,
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, BenchmarkWalkEngine,
 # the serving walk's trajectory-cache hit, cold fill and back-dated
-# ingest), then the loadgen
+# ingest, and BenchmarkGBTFit, one slot-sized booster fit with the exact
+# and hist split finders), then the loadgen
 # harness, which rewrites BENCH_6.json from a live served workload, the
 # shard-scaling scenario, which rewrites BENCH_7.json from a
 # fsync-per-ack sweep of 1..8 shards (powers of two), and the
@@ -126,6 +132,7 @@ check:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench 'GBTFit' -benchmem ./internal/ml/gbt/
 	$(GO) run ./cmd/domd loadgen -duration 5s -serve-rccs 1500 -micro-iters 300 -out BENCH_6.json
 	$(GO) run ./cmd/domd loadgen -scenario shards -shards 8 -duration 3s -out BENCH_7.json
 	$(GO) run ./cmd/domd loadgen -scenario predict -duration 5s -serve-rccs 1500 -out BENCH_10.json

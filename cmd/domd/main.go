@@ -24,6 +24,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -113,7 +114,7 @@ const (
 )
 
 func addCommon(fs *flag.FlagSet, groups int) *commonFlags {
-	c := &commonFlags{gap: 10, trials: 30, seed: 1, workers: 1}
+	c := &commonFlags{gap: 10, trials: 30, seed: 1, workers: runtime.GOMAXPROCS(0)}
 	fs.StringVar(&c.availsPath, "avails", "data/avails.csv", "avail table CSV")
 	fs.StringVar(&c.rccsPath, "rccs", "data/rccs.csv", "RCC table CSV")
 	if groups&gridFlags != 0 {
@@ -122,7 +123,7 @@ func addCommon(fs *flag.FlagSet, groups int) *commonFlags {
 	}
 	if groups&tuneFlags != 0 {
 		fs.IntVar(&c.trials, "trials", c.trials, "AutoHPT trials per timeline model (0 disables tuning)")
-		fs.IntVar(&c.workers, "workers", c.workers, "concurrent per-timestamp model training")
+		fs.IntVar(&c.workers, "workers", c.workers, "concurrent per-timestamp model training, GOMAXPROCS unless set; the models are identical at any count")
 	}
 	if groups&fileFlags != 0 {
 		fs.StringVar(&c.loadPath, "load", "", "load a previously saved pipeline (skips training)")

@@ -76,10 +76,16 @@ func unmarshalModel(cfg Config, raw json.RawMessage) (ml.Model, error) {
 	}
 }
 
-// Save writes the trained pipeline as JSON.
+// Save writes the trained pipeline as JSON. Workers is written as 0:
+// training is deterministic at any worker count, so it is no property of
+// the model, and the same data trained at -workers 1 and 2 must encode to
+// the same bytes (and so the same content-derived version name). Load
+// still accepts artifacts that carry it.
 func (p *Pipeline) Save(w io.Writer) error {
+	cfg := p.cfg
+	cfg.Workers = 0
 	pj := pipelineJSON{
-		Config:     p.cfg,
+		Config:     cfg,
 		Timestamps: p.timestamps,
 		Names:      p.names,
 	}

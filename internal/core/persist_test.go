@@ -66,6 +66,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveOmitsWorkers: the worker count does not reach the encoding, and
+// an artifact written before that, which carries it, still loads.
+func TestSaveOmitsWorkers(t *testing.T) {
+	tensor, sp := testTensor(t, 50, 41)
+	cfg := fastConfig()
+	cfg.Workers = 3
+	p, err := Train(cfg, tensor, sp.Train, sp.Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"Workers":0,`) {
+		t.Fatalf("saved config keeps the worker count: %.200s", buf.String())
+	}
+	old := strings.Replace(buf.String(), `"Workers":0,`, `"Workers":3,`, 1)
+	back, err := Load(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("artifact carrying Workers: %v", err)
+	}
+	row := tensor.Slices[0].X[sp.Test[0]]
+	a, err := p.PredictAt(0, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := back.PredictAt(0, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("prediction %v after reload, want %v", b, a)
+	}
+}
+
 func TestSaveLoadStacked(t *testing.T) {
 	tensor, sp := testTensor(t, 40, 42)
 	cfg := fastConfig()

@@ -8,6 +8,7 @@ package gbt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"domd/internal/ml"
@@ -34,9 +35,10 @@ type Params struct {
 	Subsample float64
 	// ColsampleByTree is the feature sampling fraction per tree in (0, 1].
 	ColsampleByTree float64
-	// TreeMethod selects split finding: "exact" (default) sorts rows per
-	// node; "hist" pre-buckets features into quantile bins (XGBoost's
-	// approx method), much faster on large row counts.
+	// TreeMethod selects split finding: "exact" (default) scans every
+	// distinct value over column orders sorted once per fit (tree.Order);
+	// "hist" pre-buckets features into quantile bins (XGBoost's approx
+	// method), much faster on large row counts.
 	TreeMethod string
 	// Bins is the histogram resolution for TreeMethod "hist" (default 64).
 	Bins int
@@ -82,12 +84,18 @@ func (p Params) Validate() error {
 	default:
 		return fmt.Errorf("gbt: unknown tree method %q", p.TreeMethod)
 	}
+	return p.treeConfig().Validate()
+}
+
+// treeConfig is the per-tree growth configuration of p.
+func (p Params) treeConfig() tree.Config {
 	return tree.Config{
-		MaxDepth:       p.MaxDepth,
-		MinChildWeight: p.MinChildWeight,
-		Lambda:         p.Lambda,
-		Gamma:          p.Gamma,
-	}.Validate()
+		MaxDepth:        p.MaxDepth,
+		MinChildWeight:  p.MinChildWeight,
+		Lambda:          p.Lambda,
+		Gamma:           p.Gamma,
+		MinSamplesSplit: 2,
+	}
 }
 
 // Trainer fits boosters with fixed Params and Loss; it satisfies ml.Trainer.
@@ -120,7 +128,8 @@ type Model struct {
 	nFeature int
 }
 
-// Fit trains a booster on d. d.Y must be set.
+// Fit trains a booster on d. d.Y must be set, and every value of d.X and
+// d.Y finite.
 func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -131,13 +140,77 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	if d.Y == nil || len(d.Y) == 0 {
 		return nil, fmt.Errorf("gbt: training requires targets")
 	}
+	if d.NumCols() == 0 {
+		return nil, fmt.Errorf("gbt: training requires at least one feature")
+	}
+	if err := checkFinite(d); err != nil {
+		return nil, err
+	}
+	grow, err := newGrower(p, d.X)
+	if err != nil {
+		return nil, err
+	}
+	return fit(p, l, d, grow)
+}
+
+// checkFinite refuses NaN and ±Inf in the design matrix and targets: a NaN
+// has no place in a sorted column, and either would turn gains and leaf
+// weights into NaN.
+func checkFinite(d *ml.Dataset) error {
+	for i, row := range d.X {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				name := ""
+				if d.Names != nil {
+					name = fmt.Sprintf(" (%s)", d.Names[j])
+				}
+				return fmt.Errorf("gbt: row %d, column %d%s: non-finite feature value %v", i, j, name, v)
+			}
+		}
+		if y := d.Y[i]; math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("gbt: row %d: non-finite target %v", i, y)
+		}
+	}
+	return nil
+}
+
+// grower grows one boosting round's tree from the round's gradients,
+// hessians and sampled rows and columns.
+type grower func(g, h []float64, rows, cols []int) (*tree.Node, error)
+
+// newGrower prepares p's split finder on X once per fit: the quantile bins
+// for "hist", the sorted column orders for "exact". Every round reuses them.
+func newGrower(p Params, X [][]float64) (grower, error) {
+	cfg := p.treeConfig()
+	if p.TreeMethod == "hist" {
+		bins := p.Bins
+		if bins == 0 {
+			bins = 64
+		}
+		binner, err := tree.NewBinner(X, bins)
+		if err != nil {
+			return nil, err
+		}
+		return func(g, h []float64, rows, cols []int) (*tree.Node, error) {
+			return tree.BuildHist(cfg, binner, g, h, rows, cols)
+		}, nil
+	}
+	order, err := tree.NewOrder(X)
+	if err != nil {
+		return nil, err
+	}
+	return func(g, h []float64, rows, cols []int) (*tree.Node, error) {
+		return tree.Build(cfg, order, g, h, rows, cols)
+	}, nil
+}
+
+// fit runs the boosting rounds of Fit on validated data, growing each
+// round's tree with grow.
+func fit(p Params, l loss.Loss, d *ml.Dataset, grow grower) (*Model, error) {
 	if l == nil {
 		l = loss.Squared{}
 	}
 	n, pCols := d.NumRows(), d.NumCols()
-	if pCols == 0 {
-		return nil, fmt.Errorf("gbt: training requires at least one feature")
-	}
 
 	// Base score: the loss-optimal constant (mean for ℓ2, median-refined
 	// for the robust losses).
@@ -163,32 +236,11 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	h := make([]float64, n)
 	rng := rand.New(rand.NewSource(p.Seed))
 
-	cfg := tree.Config{
-		MaxDepth:        p.MaxDepth,
-		MinChildWeight:  p.MinChildWeight,
-		Lambda:          p.Lambda,
-		Gamma:           p.Gamma,
-		MinSamplesSplit: 2,
-	}
-
 	// Robust losses (ℓ1, Huber family) pair TreeBoost-style: the tree is
 	// grown on pure gradients with unit weights (so MinChildWeight means
 	// rows, not vanishing Hessian mass), and leaf values are re-estimated
 	// by per-leaf line search below. Smooth ℓ2 keeps exact Newton steps.
 	_, treeBoost := l.(loss.LeafOptimizer)
-
-	var binner *tree.Binner
-	if p.TreeMethod == "hist" {
-		bins := p.Bins
-		if bins == 0 {
-			bins = 64
-		}
-		var err error
-		binner, err = tree.NewBinner(d.X, bins)
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	allRows := seq(n)
 	allCols := seq(pCols)
@@ -204,13 +256,7 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 		}
 		rows := sample(rng, allRows, p.Subsample)
 		cols := sample(rng, allCols, p.ColsampleByTree)
-		var tr *tree.Node
-		var err error
-		if binner != nil {
-			tr, err = tree.BuildHist(cfg, binner, g, h, rows, cols)
-		} else {
-			tr, err = tree.Build(cfg, d.X, g, h, rows, cols)
-		}
+		tr, err := grow(g, h, rows, cols)
 		if err != nil {
 			return nil, fmt.Errorf("gbt: round %d: %w", round, err)
 		}

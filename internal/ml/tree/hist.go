@@ -8,10 +8,11 @@ import (
 
 // Histogram-based split finding, the "approx/hist" tree method of XGBoost
 // and LightGBM: feature values are pre-bucketed into quantile bins once per
-// dataset, and each node scans per-bin gradient sums instead of sorting its
-// rows per feature. Growth cost per node drops from O(rows·log rows) per
-// feature to O(rows + bins), which is what makes boosting affordable on the
-// x-fold-scaled RCC workloads.
+// dataset, and each node scans per-bin gradient sums instead of every
+// distinct value of its presorted rows. A node evaluates at most bins
+// candidate thresholds per feature and keeps no per-feature row orders to
+// partition, which is what makes boosting affordable on the x-fold-scaled
+// RCC workloads.
 
 // MaxHistBins bounds the per-feature bin count (bin ids are stored in a
 // byte).

@@ -23,11 +23,20 @@ func fitCART(t *testing.T, cfg Config, X [][]float64, y []float64) *Node {
 	for j := range features {
 		features[j] = j
 	}
-	n, err := Build(cfg, X, g, h, rows, features)
+	n, err := Build(cfg, mustOrder(t, X), g, h, rows, features)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+func mustOrder(t *testing.T, X [][]float64) *Order {
+	t.Helper()
+	o, err := NewOrder(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func TestSingleLeafIsMean(t *testing.T) {
@@ -176,7 +185,7 @@ func TestLambdaShrinksLeaves(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	X := [][]float64{{1}}
+	X := mustOrder(t, [][]float64{{1}})
 	if _, err := Build(Config{MaxDepth: -1}, X, []float64{1}, []float64{1}, []int{0}, []int{0}); err == nil {
 		t.Error("negative depth: want error")
 	}
@@ -185,6 +194,18 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(DefaultConfig(), X, []float64{1}, []float64{1}, nil, []int{0}); err == nil {
 		t.Error("no rows: want error")
+	}
+	if _, err := Build(DefaultConfig(), nil, []float64{1}, []float64{1}, []int{0}, []int{0}); err == nil {
+		t.Error("nil order: want error")
+	}
+	if _, err := Build(DefaultConfig(), X, []float64{1}, []float64{1}, []int{1}, []int{0}); err == nil {
+		t.Error("row out of range: want error")
+	}
+	if _, err := Build(DefaultConfig(), X, []float64{1}, []float64{1}, []int{0}, []int{1}); err == nil {
+		t.Error("feature out of range: want error")
+	}
+	if _, err := NewOrder(nil); err == nil {
+		t.Error("empty matrix: want error")
 	}
 	for _, bad := range []Config{{Lambda: -1}, {Gamma: -1}, {MinChildWeight: -1}} {
 		if err := bad.Validate(); err == nil {
@@ -230,7 +251,7 @@ func TestQuickPredictionsWithinTargetRange(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Lambda = 0
 		cfg.MinChildWeight = 0
-		root, err := Build(cfg, X, g, h, rows, []int{0, 1})
+		root, err := Build(cfg, mustOrder(t, X), g, h, rows, []int{0, 1})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package modelserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -405,6 +406,36 @@ func TestContentDerivedVersionNameIsStable(t *testing.T) {
 	}
 	if !strings.HasPrefix(tv1.Name, "v") || len(tv1.Name) != 13 {
 		t.Fatalf("derived name = %q", tv1.Name)
+	}
+}
+
+// TestVersionIgnoresWorkers: per-slot training is deterministic at any
+// worker count, and the count is not encoded, so -workers 1 and 4 publish
+// the same version name and the same artifact bytes.
+func TestVersionIgnoresWorkers(t *testing.T) {
+	fx := mustFixture(t)
+	var versions []*TrainedVersion
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig(7)
+		cfg.Workers = workers
+		tv, err := TrainVersion(fx.tensor, fx.sp.Train, fx.sp.Val, TrainOptions{
+			Windows: []Window{{Lo: 0, Hi: 50}, {Lo: 50, Hi: 100}},
+			Alpha:   0.2,
+			Config:  cfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, tv)
+	}
+	a, b := versions[0], versions[1]
+	if a.Name != b.Name {
+		t.Fatalf("workers 1 published %q, workers 4 %q", a.Name, b.Name)
+	}
+	for i := range a.arts {
+		if !bytes.Equal(a.arts[i].data, b.arts[i].data) {
+			t.Fatalf("window %v: artifact bytes differ between workers 1 and 4", a.arts[i].window)
+		}
 	}
 }
 
